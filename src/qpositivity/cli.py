@@ -81,6 +81,15 @@ def _coeff_list(coeffs) -> str:
     return "[" + ",".join(str(c) for c in coeffs) + "]"
 
 
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the ValueError that library code raises
+    for an out-of-range parameter turned into a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _resolve_checkpoint(path: "str | None") -> "str | None":
     if path is None or os.path.isabs(path):
         return path
@@ -103,7 +112,7 @@ def _parse_check_spec(tokens: "list[str]", fake: bool):
             m = int(tokens[0])
         except ValueError:
             raise UsageError(f"bad m {tokens[0]!r}")
-        return FakeGaussianSpec(m, _parse_sequence(tokens[1]))
+        return _checked(FakeGaussianSpec, m, _parse_sequence(tokens[1]))
     if len(tokens) != 3:
         raise UsageError("check expects: n k l  (or --fake-gaussian m a1,a2,...)")
     try:
@@ -224,6 +233,8 @@ def _print_sweep_jsonl(report: SweepReport, command: "list[str]") -> None:
 
 
 def cmd_sweep(args, command: "list[str]") -> int:
+    if args.resume and not args.checkpoint:
+        raise UsageError("--resume requires --checkpoint")
     checkpoint = _resolve_checkpoint(args.checkpoint)
     if args.family == "conjecture1":
         if args.n_max is None:
@@ -233,7 +244,8 @@ def cmd_sweep(args, command: "list[str]") -> int:
                 f"--n-max {args.n_max} exceeds the desk bound {DESK_N_MAX}; "
                 "pass --long-run to confirm"
             )
-        report = sweep_conjecture1(
+        report = _checked(
+            sweep_conjecture1,
             args.n_max,
             workers=args.jobs,
             checkpoint=checkpoint,
@@ -243,7 +255,8 @@ def cmd_sweep(args, command: "list[str]") -> int:
     else:
         if args.samples is None:
             raise UsageError("sweep fake-gaussian requires --samples")
-        report = sweep_fake_gaussian(
+        report = _checked(
+            sweep_fake_gaussian,
             args.template,
             seed=args.seed,
             samples=args.samples,
@@ -333,7 +346,7 @@ def cmd_reproduce(args, command: "list[str]") -> int:
             for r in rows
         ]
     elif name == "stanton":
-        rows, ok = _reproduce_stanton_rows(m_max)
+        rows, ok = _checked(_reproduce_stanton_rows, m_max)
         text = []
         for r in rows:
             suffix = "" if r["match"] else "  <- unexpected"
@@ -351,12 +364,12 @@ def cmd_reproduce(args, command: "list[str]") -> int:
             for r in rows
         ]
     elif name == "corollary10":
-        report = reproduce_corollary10(args.n_max)
+        report = _checked(reproduce_corollary10, args.n_max)
         ok = report.counts["violations"] == 0
         rows = [report.to_dict(canonical=True)]
         text = None
     else:
-        report = crosscheck_theorems(args.n_max)
+        report = _checked(crosscheck_theorems, args.n_max)
         ok = report.counts["violations"] == 0
         rows = [report.to_dict(canonical=True)]
         text = None

@@ -32,6 +32,7 @@ from .qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
     expand,
+    expand_reciprocal,
     from_factorials,
     from_fake_gaussian,
     from_quotient_spec,
@@ -321,6 +322,8 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict)
     data = _load_checkpoint(path)
     if data is None:
         return 0, counts, []
+    if not isinstance(data, dict):
+        raise CheckpointMismatch(f"checkpoint {path} does not hold a JSON object")
     if data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointMismatch(
             f"checkpoint format {data.get('format')!r} is not {CHECKPOINT_FORMAT!r}"
@@ -330,8 +333,15 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict)
             f"checkpoint was written by sweep {data.get('sweep')!r} with parameters "
             f"{data.get('params')!r}; refusing to resume {sweep_id!r} with {params!r}"
         )
-    violations = [CheckResult.from_dict(v) for v in data["violations"]]
-    return data["cursor"], dict(data["counts"]), violations
+    try:
+        cursor = data["cursor"]
+        restored = dict(data["counts"])
+        violations = [CheckResult.from_dict(v) for v in data["violations"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointMismatch(f"checkpoint {path} is incomplete: {exc!r}") from exc
+    if not isinstance(cursor, int) or restored.keys() != counts.keys():
+        raise CheckpointMismatch(f"checkpoint {path} has a malformed cursor or counts")
+    return cursor, restored, violations
 
 
 def _checkpoint_payload(sweep_id, params, cursor, counts, violations) -> dict:
@@ -367,11 +377,11 @@ def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
 
 
 def _structural_note(p: IntPolynomial) -> "str | None":
-    # cheap invariants asserted across the sweep: constant term 1, palindrome
+    # cheap invariant asserted across the sweep: constant term 1.  No
+    # palindrome test: expand_reciprocal mirrors by construction and checks
+    # the mirror against f(1) instead.
     if p.coefficient(0) != 1:
         return f"constant term {p.coefficient(0)} != 1"
-    if p.coeffs != p.coeffs[::-1]:
-        return "expansion is not reciprocal"
     return None
 
 
@@ -389,7 +399,10 @@ def _conjecture1_unit(n: int):
                 continue
             polynomial += 1
             spec = QuotientSpec(n, k, l)
-            p = expand(from_quotient_spec(spec))
+            expr = from_quotient_spec(spec)
+            # is_polynomial is the second, independent polynomiality route:
+            # the f(1) check inside expand_reciprocal does not certify it
+            p = expand_reciprocal(expr) if is_polynomial(expr) else NotDivisible
             if p is NotDivisible:
                 violations.append(
                     CheckResult(spec, spec, True, VERDICT_VIOLATION,
@@ -525,6 +538,13 @@ def sweep_fake_gaussian(
         raise ValueError(f"template must be one of {FAKE_GAUSSIAN_TEMPLATES}")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if value_max < 0:
+        raise ValueError("value_max must be nonnegative")
+    if m_span < 1:
+        # a zero span leaves no valid m when the zero padding s is 0
+        raise ValueError("m_span must be positive")
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     sweep_id = "fake-gaussian"
     params = {
         "template": template,

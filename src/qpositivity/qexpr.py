@@ -13,12 +13,19 @@ product provably contains it.  The bookkeeping only schedules divisions;
 every division is performed exactly, and the NotDivisible verdict is
 always the outcome of an actual failed division, never of the bookkeeping
 alone.
+
+For an expression already known to be a polynomial, expand_reciprocal
+computes only the lower half of the coefficients as a truncated power
+series and mirrors it, checked against the exact value at q = 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import Counter
+from math import prod
+from operator import sub
 
 from .qpoly import (
     IntPolynomial,
@@ -41,6 +48,7 @@ __all__ = [
     "cyclotomic_exponent",
     "is_polynomial",
     "expand",
+    "expand_reciprocal",
     "expand_via_cyclotomics",
     "net_degree",
 ]
@@ -235,6 +243,27 @@ def net_degree(expr: FactoredQExpression) -> int:
     return expr.net_degree
 
 
+def _one_minus_q_arguments(expr: FactoredQExpression) -> "tuple[list[int], list[int]]":
+    """Ascending arguments m of the (1-q^m) factors upstairs and downstairs.
+
+    Each [m] is (1-q^m)/(1-q); the surplus (1-q) factors are prepended to
+    whichever side is short, so both lists end up equally long.
+    """
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for m, e in expr.factors:
+        if e > 0:
+            numerators.extend([m] * e)
+        else:
+            denominators.extend([m] * (-e))
+    balance = len(numerators) - len(denominators)
+    if balance > 0:
+        denominators = [1] * balance + denominators
+    elif balance < 0:
+        numerators = [1] * (-balance) + numerators
+    return numerators, denominators
+
+
 def expand(expr: FactoredQExpression) -> "IntPolynomial":
     """Expanded coefficient form of expr, or NotDivisible.
 
@@ -251,19 +280,7 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     the end are attempted unconditionally, and the NotDivisible verdict is
     produced by those concrete division failures.
     """
-    numerators: list[int] = []
-    pending: list[int] = []
-    for m, e in expr.factors:
-        if e > 0:
-            numerators.extend([m] * e)
-        else:
-            pending.extend([m] * (-e))
-    balance = len(numerators) - len(pending)
-    if balance > 0:
-        pending = [1] * balance + pending
-    elif balance < 0:
-        numerators = [1] * (-balance) + numerators
-
+    numerators, pending = _one_minus_q_arguments(expr)
     avail: Counter[int] = Counter()
     coeffs = [1]
 
@@ -296,6 +313,46 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
             return NotDivisible
         coeffs = divided
     return IntPolynomial(coeffs)
+
+
+def expand_reciprocal(expr: FactoredQExpression) -> "IntPolynomial":
+    """Expansion of an expression already known to be a polynomial.
+
+    A polynomial value of expr is reciprocal of degree D = net_degree, so
+    its power series mod q^N, N = D//2 + 1, determines it: the upper half
+    mirrors the lower.  The series is built by interleaving multiplication
+    by (1-q^m) with series division by (1-q^j), both truncated mod q^N;
+    arguments >= N act as 1 and are skipped.
+
+    The mirrored result is checked against f(1) = prod m^e, computed
+    exactly from the factored form; on a mismatch (f(1) need not even be
+    an integer) the verdict is NotDivisible.  The check does not certify
+    polynomiality: some non-polynomial quotients pass it, so the caller
+    decides polynomiality first, for example with is_polynomial.
+
+    >>> expand_reciprocal(FactoredQExpression([(9, 1), (3, -1)]))
+    IntPolynomial(1 + q^3 + q^6)
+    >>> expand_reciprocal(FactoredQExpression([(3, 1), (2, -1)]))
+    NotDivisible
+    """
+    degree = expr.net_degree
+    if degree < 0:
+        return NotDivisible
+    size = degree // 2 + 1
+    coeffs = [1] + [0] * (size - 1)
+    for m, j in zip(*_one_minus_q_arguments(expr)):
+        if m < size:
+            coeffs[m:] = map(sub, coeffs[m:], coeffs[: size - m])
+        # c_i = a_i + c_{i-j}: a prefix sum per residue class mod j; a class
+        # starting at r >= size - j has a single entry and stays as it is
+        for r in range(min(j, size - j)):
+            coeffs[r::j] = itertools.accumulate(coeffs[r::j])
+    full = coeffs + coeffs[: degree + 1 - size][::-1]
+    top = prod(m**e for m, e in expr.factors if e > 0)
+    bottom = prod(m**-e for m, e in expr.factors if e < 0)
+    if sum(full) * bottom != top:
+        return NotDivisible
+    return IntPolynomial(full)
 
 
 def expand_via_cyclotomics(

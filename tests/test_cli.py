@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qpositivity.cli import main
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
@@ -230,3 +232,47 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "polynomial; coefficients [1,0,0,1,0,0,1]" in proc.stdout
+
+
+#: Inputs that once ended in a traceback and exit 1 instead of a usage error.
+BAD_ARGV = [
+    ["check", "--fake-gaussian", "0", "1,2"],
+    ["check", "--fake-gaussian", "1", "1,-2"],
+    ["sweep", "conjecture1", "--n-max", "1"],
+    ["sweep", "fake-gaussian", "--samples", "-1"],
+    ["sweep", "fake-gaussian", "--samples", "5", "--value-max", "-1"],
+    ["sweep", "fake-gaussian", "--samples", "5", "--m-span", "-500"],
+    ["sweep", "fake-gaussian", "--samples", "5", "--m-span", "0"],
+    ["reproduce", "crosscheck", "--n-max", "3"],
+    ["reproduce", "corollary10", "--n-max", "0"],
+    ["reproduce", "stanton", "--m-max", "0"],
+    ["sweep", "conjecture1", "--n-max", "5", "--resume"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_argv_is_a_usage_error(argv, capsys):
+    # run in-process: an uncaught exception would fail the test outright
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_batch_bad_fake_gaussian_is_a_usage_error(tmp_path, capsys):
+    batch = tmp_path / "specs.txt"
+    batch.write_text("11 3 2\n0 1,2\n")
+    assert run_cli(["check", "--batch", str(batch)]) == 2
+    assert "m must be a positive integer" in capsys.readouterr().err
+
+
+def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
+    ckpt = tmp_path / "c1.ckpt"
+    args = ["sweep", "conjecture1", "--n-max", "16", "--jobs", "1", "--checkpoint", str(ckpt)]
+    assert run_cli(args + ["--stop-after", "2"]) == 0
+    payload = json.loads(ckpt.read_text())
+    del payload["violations"]
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(args + ["--resume"]) == 2
+    assert "refusing to resume" in capsys.readouterr().err

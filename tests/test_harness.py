@@ -1,6 +1,7 @@
 """Verification entry points, sweeps, checkpoints, and reproductions."""
 
 import doctest
+import hashlib
 import json
 
 import pytest
@@ -26,11 +27,12 @@ from qpositivity.harness import (
     verify_fake_gaussian,
     verify_quotient,
 )
-from qpositivity.harness import _polynomial_ls, _sample_spec
+from qpositivity.harness import _conjecture1_unit, _polynomial_ls, _sample_spec
 from qpositivity.qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
     expand,
+    expand_reciprocal,
     from_factorials,
     from_quotient_spec,
     is_polynomial,
@@ -157,6 +159,25 @@ def test_polynomial_table_against_expansion_samples():
                 assert (table[k] <= table[l]) == (p is not NotDivisible)
 
 
+def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
+    # [20][21]/([14][15]) is no polynomial, yet its mirrored half-length
+    # series sums to f(1) = 2, so expand_reciprocal alone does not refuse it
+    spec = QuotientSpec(34, 15, 13)
+    expr = from_quotient_spec(spec)
+    assert not is_polynomial(expr)
+    assert expand_reciprocal(expr) is not NotDivisible
+
+    # a divisor table that wrongly calls (34, 15, 13) a polynomial
+    table = _polynomial_ls(34)
+    table[13] = table[13] | table[15]
+    monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
+    _, _, _, violations = _conjecture1_unit(34)
+    assert spec in [v.spec for v in violations]
+    for v in violations:
+        assert v.note == "divisor profile says polynomial, expansion refused"
+        assert not is_polynomial(from_quotient_spec(v.spec))
+
+
 # ---------------------------------------------------------------------------
 # conjecture sweep
 
@@ -185,6 +206,25 @@ def test_sweep_conjecture1_clean_run():
 def test_sweep_conjecture1_precondition():
     with pytest.raises(ValueError):
         sweep_conjecture1(1)
+
+
+#: sha256 of the canonical sweep_conjecture1(60) report; the report of the
+#: scheduled-expansion sweep, so any later expansion route must match it.
+SWEEP60_SHA256 = "13190198ba65d24b480deeb0aeb20a43aa8bcbc5f31341e9d788df151db51ea1"
+
+
+def report_sha256(report) -> str:
+    return hashlib.sha256(canonical_json(report.to_dict(canonical=True)).encode()).hexdigest()
+
+
+def test_sweep_conjecture1_report_pinned(tmp_path):
+    assert report_sha256(sweep_conjecture1(60, workers=1)) == SWEEP60_SHA256
+    assert report_sha256(sweep_conjecture1(60, workers=2)) == SWEEP60_SHA256
+    path = str(tmp_path / "c1.ckpt")
+    partial = sweep_conjecture1(60, checkpoint=path, stop_after=5)
+    assert partial.cursor == 6
+    resumed = sweep_conjecture1(60, checkpoint=path, resume=True)
+    assert report_sha256(resumed) == SWEEP60_SHA256
 
 
 def test_sweep_conjecture1_worker_determinism():
@@ -244,6 +284,41 @@ def test_sweep_checkpoint_wrong_format_refused(tmp_path):
         sweep_conjecture1(20, checkpoint=str(path), resume=True)
 
 
+@pytest.mark.parametrize("missing", ["cursor", "counts", "violations"])
+def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
+    path = str(tmp_path / "c1.ckpt")
+    sweep_conjecture1(20, checkpoint=path, stop_after=3)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    del payload[missing]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointMismatch):
+        sweep_conjecture1(20, checkpoint=path, resume=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"cursor": "6", "counts": {"examined": 0, "polynomial": 0, "violations": 0},
+         "violations": []},
+        {"counts": {"examined": 0}, "violations": []},
+        {"counts": [1], "violations": []},
+        {"counts": {"examined": 0, "polynomial": 0, "violations": 0}, "violations": [{}]},
+    ],
+    ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation"],
+)
+def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
+    path = tmp_path / "c1.ckpt"
+    if isinstance(payload, dict):
+        payload = {"format": CHECKPOINT_FORMAT, "sweep": "conjecture1",
+                   "params": {"n_max": 20}, "cursor": 6, **payload}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointMismatch):
+        sweep_conjecture1(20, checkpoint=str(path), resume=True)
+
+
 def test_sweep_checkpoint_io_error_propagates(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -284,6 +359,15 @@ def test_sample_spec_is_pure():
 def test_sweep_fake_gaussian_template_validation():
     with pytest.raises(ValueError):
         sweep_fake_gaussian("abba", seed=1, samples=10)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"samples": -1}, {"value_max": -1}, {"m_span": -500}, {"m_span": 0}, {"chunk": 0}]
+)
+def test_sweep_fake_gaussian_parameter_validation(bad):
+    kw = {"seed": 1, "samples": 10, **bad}
+    with pytest.raises(ValueError):
+        sweep_fake_gaussian("aba", **kw)
 
 
 def test_sweep_fake_gaussian_worker_determinism():

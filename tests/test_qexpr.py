@@ -3,7 +3,7 @@
 import doctest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qpositivity.qexpr as qexpr
@@ -13,6 +13,7 @@ from qpositivity.qexpr import (
     QuotientSpec,
     cyclotomic_exponent,
     expand,
+    expand_reciprocal,
     expand_via_cyclotomics,
     from_factorials,
     from_fake_gaussian,
@@ -26,6 +27,13 @@ raw_factors = st.lists(
     st.tuples(st.integers(2, 24), st.integers(-3, 3)), max_size=6
 )
 expressions = raw_factors.map(FactoredQExpression)
+
+
+@st.composite
+def symmetric_fake_gaussians(draw):
+    half = draw(st.lists(st.integers(0, 3), max_size=4))
+    middle = draw(st.lists(st.integers(0, 3), max_size=1))
+    return FakeGaussianSpec(draw(st.integers(1, 30)), half + middle + half[::-1])
 
 
 def test_doctests():
@@ -226,3 +234,33 @@ class TestExpansion:
                     p = expand(from_quotient_spec(QuotientSpec(n, k, l)))
                     if p is not NotDivisible:
                         assert p.coefficient(0) == 1
+
+
+class TestExpandReciprocal:
+    def test_matches_expand_on_sweep_triples(self):
+        for n in range(4, 61):
+            for k in range(2, n // 2 + 1):
+                for l in range(1, k):
+                    e = from_quotient_spec(QuotientSpec(n, k, l))
+                    if is_polynomial(e):
+                        assert expand_reciprocal(e) == expand(e), (n, k, l)
+
+    def test_matches_expand_at_degree_5472(self):
+        e = from_quotient_spec(QuotientSpec(150, 73, 1))
+        p = expand_reciprocal(e)
+        assert p.degree == 5472
+        assert p == expand(e)
+
+    @given(symmetric_fake_gaussians())
+    def test_matches_expand_on_symmetric_fake_gaussians(self, spec):
+        e = from_fake_gaussian(spec)
+        assume(is_polynomial(e))
+        assert expand_reciprocal(e) == expand(e)
+
+    def test_refuses_without_raising(self):
+        # f(1) = 4/4 is an integer, but the mirrored series sums to 2
+        assert expand_reciprocal(FactoredQExpression([(4, 1), (2, -2)])) is NotDivisible
+        # f(1) = 3/2 is not even an integer
+        assert expand_reciprocal(FactoredQExpression([(3, 1), (2, -1)])) is NotDivisible
+        assert expand_reciprocal(FactoredQExpression([(2, -1)])) is NotDivisible
+        assert expand_reciprocal(FactoredQExpression(())) == IntPolynomial([1])
