@@ -40,6 +40,7 @@ from .harness import (
     crosscheck_theorems,
     normalize_quotient_spec,
     reproduce_corollary10,
+    reproduce_lemma6,
     reproduce_remark25,
     reproduce_stanton,
     sweep_conjecture1,
@@ -58,7 +59,6 @@ from .qexpr import (
     from_fake_gaussian,
     from_quotient_spec,
     is_polynomial,
-    net_degree,
 )
 from .qpoly import (
     CyclotomicCache,
@@ -74,64 +74,3 @@ from .qpoly import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "IntPolynomial",
-    "NotDivisible",
-    "CyclotomicCache",
-    "cyclotomic",
-    "q_int",
-    "q_binomial",
-    "poly_add",
-    "poly_mul",
-    "poly_div_exact",
-    "div_one_minus_qk",
-    "FactoredQExpression",
-    "QuotientSpec",
-    "FakeGaussianSpec",
-    "from_factorials",
-    "from_quotient_spec",
-    "from_fake_gaussian",
-    "cyclotomic_exponent",
-    "is_polynomial",
-    "net_degree",
-    "expand",
-    "expand_via_cyclotomics",
-    "PropertyRecord",
-    "nonnegativity",
-    "is_reciprocal",
-    "is_unimodal",
-    "is_parity_unimodal",
-    "order_of",
-    "property_record",
-    "CASE_LABELS",
-    "Case4Pattern",
-    "Lemma6Variant",
-    "NotPolynomialPattern",
-    "thm8_is_polynomial",
-    "thm9_is_polynomial",
-    "thm8_exponent",
-    "thm9_exponent",
-    "lemma5_applicable",
-    "lemma5_expression",
-    "lemma6_expression",
-    "lemma6_degree",
-    "lemma6_order_bound",
-    "case_classify",
-    "rational_q_catalan",
-    "corollary10_expression",
-    "CheckResult",
-    "SweepReport",
-    "CheckpointMismatch",
-    "STANTON_SEQUENCE",
-    "normalize_quotient_spec",
-    "verify_quotient",
-    "verify_fake_gaussian",
-    "sweep_conjecture1",
-    "sweep_fake_gaussian",
-    "crosscheck_theorems",
-    "reproduce_remark25",
-    "reproduce_stanton",
-    "reproduce_corollary10",
-]

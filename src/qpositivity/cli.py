@@ -18,12 +18,6 @@ import os
 import sys
 
 from . import __version__
-from .criteria import (
-    Lemma6Variant,
-    lemma6_degree,
-    lemma6_expression,
-    lemma6_order_bound,
-)
 from .harness import (
     REMARK25_EXPECTED,
     REPORT_SCHEMA,
@@ -32,6 +26,7 @@ from .harness import (
     SweepReport,
     crosscheck_theorems,
     reproduce_corollary10,
+    reproduce_lemma6,
     reproduce_remark25,
     reproduce_stanton,
     sweep_conjecture1,
@@ -39,8 +34,7 @@ from .harness import (
     verify_fake_gaussian,
     verify_quotient,
 )
-from .qexpr import FakeGaussianSpec, QuotientSpec, expand
-from .qpoly import NotDivisible
+from .qexpr import FakeGaussianSpec, QuotientSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -309,30 +303,6 @@ def _reproduce_stanton_rows(m_max: int):
     return rows, ok
 
 
-def _reproduce_lemma6_rows(k_max: int, m_max: int):
-    rows = []
-    ok = True
-    for K in range(2, k_max + 1):
-        for M in range(0, m_max + 1):
-            degree = lemma6_degree(K, M)
-            bound = lemma6_order_bound(K, M)
-            row = {"K": K, "M": M, "degree": degree, "order_bound": bound}
-            for variant in (Lemma6Variant.VariantA, Lemma6Variant.VariantB):
-                if variant is Lemma6Variant.VariantB and K < 3:
-                    row["B"] = None
-                    continue
-                expr = lemma6_expression(K, M, variant)
-                p = expand(expr)
-                good = p is not NotDivisible and min(p.coeffs) >= 0
-                good = good and p.coeffs == p.coeffs[::-1]
-                if variant is Lemma6Variant.VariantA:
-                    good = good and p.degree == degree
-                row["A" if variant is Lemma6Variant.VariantA else "B"] = good
-                ok = ok and good
-            rows.append(row)
-    return rows, ok
-
-
 def cmd_reproduce(args, command: "list[str]") -> int:
     name = args.name
     report = None
@@ -356,7 +326,7 @@ def cmd_reproduce(args, command: "list[str]") -> int:
             else:
                 text.append(f"m={r['m']}: {r['verdict']}{suffix}")
     elif name == "lemma6":
-        rows, ok = _reproduce_lemma6_rows(args.k_max, m_max)
+        rows, ok = _checked(reproduce_lemma6, args.k_max, m_max)
         text = [
             f"K={r['K']} M={r['M']} degree={r['degree']} order_bound={r['order_bound']} "
             f"A={'ok' if r['A'] else 'FAIL'} "

@@ -23,7 +23,11 @@ import time
 
 from .analysis import PropertyRecord, nonnegativity, property_record
 from .criteria import (
+    Lemma6Variant,
     corollary10_expression,
+    lemma6_degree,
+    lemma6_expression,
+    lemma6_order_bound,
     thm8_is_polynomial,
     thm9_is_polynomial,
 )
@@ -56,6 +60,7 @@ __all__ = [
     "crosscheck_theorems",
     "reproduce_remark25",
     "reproduce_stanton",
+    "reproduce_lemma6",
     "reproduce_corollary10",
     "canonical_json",
 ]
@@ -73,6 +78,9 @@ STANTON_SEQUENCE = (1, 3, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)
 
 #: Recognized symmetric sequence shapes for randomized product sweeps.
 FAKE_GAUSSIAN_TEMPLATES = ("a", "aa", "aba", "abcba")
+
+#: Samples per work unit of the randomized product sweep.
+_FAKE_GAUSSIAN_CHUNK = 200
 
 
 class CheckpointMismatch(RuntimeError):
@@ -357,12 +365,70 @@ def _checkpoint_payload(sweep_id, params, cursor, counts, violations) -> dict:
 
 def _execute_units(units, fn, workers: int):
     """Run fn over units, yielding results in submission order."""
-    if workers <= 1 or len(units) <= 1:
+    workers = min(workers, len(units))
+    if workers <= 1:
         for unit in units:
             yield fn(unit)
         return
     with multiprocessing.Pool(processes=workers) as pool:
         yield from pool.imap(fn, units, chunksize=1)
+
+
+def _run_units(
+    sweep_id: str,
+    params: dict,
+    seed: "int | None",
+    units_from,
+    unit_fn,
+    workers: int = 1,
+    checkpoint: "str | None" = None,
+    resume: bool = False,
+    stop_after: "int | None" = None,
+) -> SweepReport:
+    """The one sweep loop behind every sweep and table reproduction.
+
+    State is restored from the checkpoint (or fresh), units_from(cursor)
+    lists the units still to do, and at most stop_after of them run.  Each
+    unit_fn(unit) returns (cursor, examined, polynomial, violations); the
+    results are merged in unit order, whatever the worker count, and the
+    checkpoint is rewritten after every merged unit.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if stop_after is not None and stop_after < 0:
+        raise ValueError("stop_after must be nonnegative")
+    cursor, counts, violations = _resume_state(checkpoint, resume, sweep_id, params)
+    units = units_from(cursor)
+    if stop_after is not None:
+        units = units[:stop_after]
+
+    started = time.perf_counter()
+    for cursor, examined, polynomial, unit_violations in _execute_units(
+        units, unit_fn, workers
+    ):
+        counts["examined"] += examined
+        counts["polynomial"] += polynomial
+        counts["violations"] += len(unit_violations)
+        violations.extend(unit_violations)
+        if checkpoint:
+            _write_checkpoint(
+                checkpoint,
+                _checkpoint_payload(sweep_id, params, cursor, counts, violations),
+            )
+    return SweepReport(
+        sweep_id=sweep_id,
+        params=params,
+        seed=seed,
+        counts=counts,
+        violations=violations,
+        cursor=cursor,
+        wall_time=time.perf_counter() - started,
+    )
+
+
+def _per_n(first: int, n_max: int):
+    """units_from for per-n units: every n from first (or past the cursor) to n_max."""
+    return lambda cursor: list(range(max(cursor + 1, first), n_max + 1))
 
 
 def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
@@ -442,37 +508,9 @@ def sweep_conjecture1(
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    sweep_id = "conjecture1"
-    params = {"n_max": n_max}
-    cursor, counts, violations = _resume_state(checkpoint, resume, sweep_id, params)
-    start_n = max(cursor, 1)
-
-    units = list(range(start_n + 1, n_max + 1))
-    if stop_after is not None:
-        units = units[: max(stop_after, 0)]
-
-    started = time.perf_counter()
-    for n, examined, polynomial, unit_violations in _execute_units(
-        units, _conjecture1_unit, workers
-    ):
-        counts["examined"] += examined
-        counts["polynomial"] += polynomial
-        counts["violations"] += len(unit_violations)
-        violations.extend(unit_violations)
-        cursor = n
-        if checkpoint:
-            _write_checkpoint(
-                checkpoint,
-                _checkpoint_payload(sweep_id, params, cursor, counts, violations),
-            )
-    return SweepReport(
-        sweep_id=sweep_id,
-        params=params,
-        seed=None,
-        counts=counts,
-        violations=violations,
-        cursor=cursor,
-        wall_time=time.perf_counter() - started,
+    return _run_units(
+        "conjecture1", {"n_max": n_max}, None, _per_n(2, n_max), _conjecture1_unit,
+        workers, checkpoint, resume, stop_after,
     )
 
 
@@ -525,14 +563,13 @@ def sweep_fake_gaussian(
     checkpoint: "str | None" = None,
     resume: bool = False,
     stop_after: "int | None" = None,
-    chunk: int = 200,
 ) -> SweepReport:
     """Randomized positivity sweep over symmetric product specs.
 
     Each sample index maps to a spec through the counter-based RNG, so the
     report depends only on (template, seed, samples, value_max, m_span).
-    Work is chunked by index ranges; the cursor is the completed sample
-    prefix.
+    Work is chunked by index ranges of _FAKE_GAUSSIAN_CHUNK samples; the
+    cursor is the completed sample prefix.
     """
     if template not in FAKE_GAUSSIAN_TEMPLATES:
         raise ValueError(f"template must be one of {FAKE_GAUSSIAN_TEMPLATES}")
@@ -543,9 +580,6 @@ def sweep_fake_gaussian(
     if m_span < 1:
         # a zero span leaves no valid m when the zero padding s is 0
         raise ValueError("m_span must be positive")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    sweep_id = "fake-gaussian"
     params = {
         "template": template,
         "samples": samples,
@@ -553,39 +587,17 @@ def sweep_fake_gaussian(
         "m_span": m_span,
         "seed": seed,
     }
-    cursor, counts, violations = _resume_state(checkpoint, resume, sweep_id, params)
 
-    units = []
-    position = cursor
-    while position < samples:
-        size = min(chunk, samples - position)
-        units.append((template, seed, value_max, m_span, position, size))
-        position += size
-    if stop_after is not None:
-        units = units[: max(stop_after, 0)]
+    def units_from(cursor):
+        chunk = _FAKE_GAUSSIAN_CHUNK
+        return [
+            (template, seed, value_max, m_span, start, min(chunk, samples - start))
+            for start in range(cursor, samples, chunk)
+        ]
 
-    started = time.perf_counter()
-    for done, examined, polynomial, unit_violations in _execute_units(
-        units, _fake_gaussian_unit, workers
-    ):
-        counts["examined"] += examined
-        counts["polynomial"] += polynomial
-        counts["violations"] += len(unit_violations)
-        violations.extend(unit_violations)
-        cursor = done
-        if checkpoint:
-            _write_checkpoint(
-                checkpoint,
-                _checkpoint_payload(sweep_id, params, cursor, counts, violations),
-            )
-    return SweepReport(
-        sweep_id=sweep_id,
-        params=params,
-        seed=seed,
-        counts=counts,
-        violations=violations,
-        cursor=cursor,
-        wall_time=time.perf_counter() - started,
+    return _run_units(
+        "fake-gaussian", params, seed, units_from, _fake_gaussian_unit,
+        workers, checkpoint, resume, stop_after,
     )
 
 
@@ -599,42 +611,34 @@ def crosscheck_theorems(n_max: int) -> SweepReport:
     """
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    counts = {"examined": 0, "polynomial": 0, "violations": 0}
-    violations: list[CheckResult] = []
-    started = time.perf_counter()
-    for n in range(2, n_max + 1):
-        for l, criterion, k_range in (
-            (1, thm8_is_polynomial, range(1, n)),
-            (2, thm9_is_polynomial, range(2, n - 1)),
-        ):
-            for k in k_range:
-                counts["examined"] += 1
-                spec = QuotientSpec(n, k, l)
-                p = expand(from_quotient_spec(spec))
-                brute = p is not NotDivisible
-                if brute:
-                    counts["polynomial"] += 1
-                note = None
-                if criterion(n, k) != brute:
-                    note = (
-                        f"criterion says {criterion(n, k)}, expansion says {brute}"
-                    )
-                elif brute and not nonnegativity(p)[0]:
-                    note = "polynomial expansion has a negative coefficient"
-                if note:
-                    counts["violations"] += 1
-                    violations.append(
-                        CheckResult(spec, spec, brute, VERDICT_VIOLATION, note=note)
-                    )
-    return SweepReport(
-        sweep_id="crosscheck-theorems",
-        params={"n_max": n_max},
-        seed=None,
-        counts=counts,
-        violations=violations,
-        cursor=n_max,
-        wall_time=time.perf_counter() - started,
+    return _run_units(
+        "crosscheck-theorems", {"n_max": n_max}, None, _per_n(2, n_max), _crosscheck_unit
     )
+
+
+def _crosscheck_unit(n: int):
+    """Both theorems' admissible k ranges for one n; the per-n work unit."""
+    examined = 0
+    polynomial = 0
+    violations: list[CheckResult] = []
+    for l, criterion, k_range in (
+        (1, thm8_is_polynomial, range(1, n)),
+        (2, thm9_is_polynomial, range(2, n - 1)),
+    ):
+        for k in k_range:
+            examined += 1
+            spec = QuotientSpec(n, k, l)
+            p = expand(from_quotient_spec(spec))
+            brute = p is not NotDivisible
+            polynomial += brute
+            note = None
+            if criterion(n, k) != brute:
+                note = f"criterion says {criterion(n, k)}, expansion says {brute}"
+            elif brute and not nonnegativity(p)[0]:
+                note = "polynomial expansion has a negative coefficient"
+            if note:
+                violations.append(CheckResult(spec, spec, brute, VERDICT_VIOLATION, note=note))
+    return n, examined, polynomial, violations
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +692,38 @@ def reproduce_stanton(m_max: int = 50) -> "list[CheckResult]":
     ]
 
 
+def reproduce_lemma6(k_max: int, m_max: int) -> "tuple[list[dict], bool]":
+    """Expand both Lemma 6 variants on the grid 2 <= K <= k_max, 0 <= M <= m_max.
+
+    Each expansion must be a nonnegative palindrome, and variant A must
+    have the closed-form degree.  Variant B needs K >= 3; its cell is None
+    below that.  Returns one row per (K, M) and whether every cell passed.
+    """
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    rows = []
+    ok = True
+    for K in range(2, k_max + 1):
+        for M in range(0, m_max + 1):
+            degree = lemma6_degree(K, M)
+            row = {"K": K, "M": M, "degree": degree, "order_bound": lemma6_order_bound(K, M)}
+            for variant in (Lemma6Variant.VariantA, Lemma6Variant.VariantB):
+                if variant is Lemma6Variant.VariantB and K < 3:
+                    row["B"] = None
+                    continue
+                p = expand(lemma6_expression(K, M, variant))
+                good = p is not NotDivisible and min(p.coeffs) >= 0
+                good = good and p.coeffs == p.coeffs[::-1]
+                if variant is Lemma6Variant.VariantA:
+                    good = good and p.degree == degree
+                row["A" if variant is Lemma6Variant.VariantA else "B"] = good
+                ok = ok and good
+            rows.append(row)
+    return rows, ok
+
+
 def _one_plus_q_power(j: int) -> IntPolynomial:
     return IntPolynomial((1,) + (0,) * (j - 1) + (1,))
 
@@ -701,46 +737,35 @@ def reproduce_corollary10(n_max: int) -> SweepReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    counts = {"examined": 0, "polynomial": 0, "violations": 0}
-    violations: list[CheckResult] = []
-    started = time.perf_counter()
-    for n in range(1, n_max + 1):
-        counts["examined"] += 1
-        direct = expand(corollary10_expression(n))
-        route_spec = QuotientSpec(3 * n + 2, n + 1, 2)
-        note = None
-        if direct is NotDivisible:
-            note = "expansion refused"
-        else:
-            counts["polynomial"] += 1
-            base = expand(from_quotient_spec(route_spec))
-            if base is NotDivisible:
-                note = "companion quotient is not a polynomial"
-            else:
-                via = base.substitute_q_power(2)
-                for j in range(3, 2 * n + 2):
-                    via = poly_mul(via, _one_plus_q_power(j))
-                if via != direct:
-                    note = "route comparison mismatch"
-                elif not nonnegativity(direct)[0]:
-                    note = "negative coefficient"
-        if note:
-            counts["violations"] += 1
-            violations.append(
-                CheckResult(
-                    route_spec,
-                    route_spec,
-                    direct is not NotDivisible,
-                    VERDICT_VIOLATION,
-                    note=f"row n={n}: {note}",
-                )
-            )
-    return SweepReport(
-        sweep_id="corollary10",
-        params={"n_max": n_max},
-        seed=None,
-        counts=counts,
-        violations=violations,
-        cursor=n_max,
-        wall_time=time.perf_counter() - started,
+    return _run_units(
+        "corollary10", {"n_max": n_max}, None, _per_n(1, n_max), _corollary10_unit
     )
+
+
+def _corollary10_unit(n: int):
+    """One row of the corollary: direct expansion against the companion route."""
+    direct = expand(corollary10_expression(n))
+    polynomial = direct is not NotDivisible
+    route_spec = QuotientSpec(3 * n + 2, n + 1, 2)
+    note = None
+    if not polynomial:
+        note = "expansion refused"
+    else:
+        base = expand(from_quotient_spec(route_spec))
+        if base is NotDivisible:
+            note = "companion quotient is not a polynomial"
+        else:
+            via = base.substitute_q_power(2)
+            for j in range(3, 2 * n + 2):
+                via = poly_mul(via, _one_plus_q_power(j))
+            if via != direct:
+                note = "route comparison mismatch"
+            elif not nonnegativity(direct)[0]:
+                note = "negative coefficient"
+    violations = []
+    if note:
+        violations.append(
+            CheckResult(route_spec, route_spec, polynomial, VERDICT_VIOLATION,
+                        note=f"row n={n}: {note}")
+        )
+    return n, 1, int(polynomial), violations

@@ -50,7 +50,6 @@ __all__ = [
     "expand",
     "expand_reciprocal",
     "expand_via_cyclotomics",
-    "net_degree",
 ]
 
 
@@ -237,10 +236,6 @@ def is_polynomial(expr: FactoredQExpression) -> bool:
     range is 2..max argument, since C_d with larger d divides no factor.
     """
     return all(e >= 0 for e in _exponent_profile(expr).values())
-
-
-def net_degree(expr: FactoredQExpression) -> int:
-    return expr.net_degree
 
 
 def _one_minus_q_arguments(expr: FactoredQExpression) -> "tuple[list[int], list[int]]":

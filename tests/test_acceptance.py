@@ -36,7 +36,6 @@ from qpositivity.qexpr import (
     expand,
     from_fake_gaussian,
     from_quotient_spec,
-    net_degree,
 )
 from qpositivity.qpoly import (
     IntPolynomial,
@@ -136,7 +135,7 @@ def test_acceptance_6_lemma6_family():
                 expr = lemma6_expression(K, M, Lemma6Variant.VariantB)
                 p = expand(expr)
                 assert p is not NotDivisible
-                assert p.degree == net_degree(expr)
+                assert p.degree == expr.net_degree
                 assert min(p.coeffs) >= 0
                 assert is_reciprocal(p)
     finish(6, "three-term family through K=12, M=6", started, 120.0)

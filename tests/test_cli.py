@@ -1,5 +1,6 @@
 """Command line behavior: parsing, formats, exit codes, checkpoints."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -196,6 +197,22 @@ def test_reproduce_lemma6(capsys):
     assert "K=3 M=0 degree=132 order_bound=94 A=ok B=ok" in out
 
 
+#: sha256 of the stdout of `reproduce lemma6 --k-max 4 --m-max 2`, taken while
+#: the grid check still lived in the command line front end.
+LEMMA6_STDOUT_SHA256 = {
+    "json": "aec8eab279df013e2018a4045f1e43b3cbb58eb9643222b7feffd5a60299f0d3",
+    "text": "3dd8c67e04f19e64457faa4d8becf5631fd20949e1ea4bbbd072b4a01655bca5",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LEMMA6_STDOUT_SHA256))
+def test_reproduce_lemma6_output_pinned(fmt, capsys):
+    argv = ["reproduce", "lemma6", "--k-max", "4", "--m-max", "2", "--format", fmt]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LEMMA6_STDOUT_SHA256[fmt]
+
+
 def test_reproduce_corollary10(capsys):
     assert run_cli(["reproduce", "corollary10", "--n-max", "5"]) == 0
     assert "reproduction ok" in capsys.readouterr().out
@@ -234,7 +251,8 @@ def test_console_script_runs():
     assert "polynomial; coefficients [1,0,0,1,0,0,1]" in proc.stdout
 
 
-#: Inputs that once ended in a traceback and exit 1 instead of a usage error.
+#: Inputs that once ended in a traceback and exit 1, or in exit 0 after
+#: quietly doing nothing or something else, instead of a usage error.
 BAD_ARGV = [
     ["check", "--fake-gaussian", "0", "1,2"],
     ["check", "--fake-gaussian", "1", "1,-2"],
@@ -247,6 +265,11 @@ BAD_ARGV = [
     ["reproduce", "corollary10", "--n-max", "0"],
     ["reproduce", "stanton", "--m-max", "0"],
     ["sweep", "conjecture1", "--n-max", "5", "--resume"],
+    ["reproduce", "lemma6", "--m-max", "-1"],
+    ["reproduce", "lemma6", "--k-max", "1"],
+    ["sweep", "conjecture1", "--n-max", "5", "--jobs", "0"],
+    ["sweep", "conjecture1", "--n-max", "5", "--jobs", "-3"],
+    ["sweep", "conjecture1", "--n-max", "5", "--stop-after", "-1"],
 ]
 
 

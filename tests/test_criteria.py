@@ -31,7 +31,6 @@ from qpositivity.qexpr import (
     expand,
     from_quotient_spec,
     is_polynomial,
-    net_degree,
 )
 from qpositivity.qpoly import IntPolynomial, NotDivisible
 
@@ -192,7 +191,7 @@ class TestLemma6:
         for K in range(2, 13):
             for M in range(0, 7):
                 e = lemma6_expression(K, M, Lemma6Variant.VariantA)
-                assert lemma6_degree(K, M) == net_degree(e), (K, M)
+                assert lemma6_degree(K, M) == e.net_degree, (K, M)
 
     def test_order_bound_formula(self):
         assert lemma6_order_bound(2, 0) == 32
@@ -380,4 +379,4 @@ class TestCorollary10Expression:
                 - sum(j - 1 for j in range(2, 2 * n + 2))
                 - sum(2 * j - 1 for j in range(2, n + 2))
             )
-            assert net_degree(e) == expected
+            assert e.net_degree == expected

@@ -20,6 +20,7 @@ from qpositivity.harness import (
     crosscheck_theorems,
     normalize_quotient_spec,
     reproduce_corollary10,
+    reproduce_lemma6,
     reproduce_remark25,
     reproduce_stanton,
     sweep_conjecture1,
@@ -217,6 +218,38 @@ def report_sha256(report) -> str:
     return hashlib.sha256(canonical_json(report.to_dict(canonical=True)).encode()).hexdigest()
 
 
+#: sha256 of further canonical reports, taken from the hand-rolled loops that
+#: each report had before all of them ran through one sweep engine.
+REPORT_PINS = {
+    "crosscheck40": (
+        lambda: crosscheck_theorems(40),
+        "30f371d82a80721d487c7842d497b4e9ae4d6629bed9706d96012aaa0f4802c2",
+    ),
+    "corollary10-8": (
+        lambda: reproduce_corollary10(8),
+        "868a4e8735e8d5f539a96834ee13f01660072702f7993fb87e16ff7c7df470f8",
+    ),
+    "fake-gaussian-aba-w1": (
+        lambda: sweep_fake_gaussian("aba", 7, 500, workers=1),
+        "2dfbdf328bb255bd82121fb1c17431aba8a8c4ca01196e0267d8446f3d065d9c",
+    ),
+    "fake-gaussian-aba-w2": (
+        lambda: sweep_fake_gaussian("aba", 7, 500, workers=2),
+        "2dfbdf328bb255bd82121fb1c17431aba8a8c4ca01196e0267d8446f3d065d9c",
+    ),
+    "fake-gaussian-a": (
+        lambda: sweep_fake_gaussian("a", 1, 300, value_max=3, m_span=5),
+        "3d7fce71358e5dac9a5c371b96a3bfbfd5ed0bf63aaa6255212ba4a97fb79678",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_report_pinned(name):
+    build, digest = REPORT_PINS[name]
+    assert report_sha256(build()) == digest
+
+
 def test_sweep_conjecture1_report_pinned(tmp_path):
     assert report_sha256(sweep_conjecture1(60, workers=1)) == SWEEP60_SHA256
     assert report_sha256(sweep_conjecture1(60, workers=2)) == SWEEP60_SHA256
@@ -333,6 +366,42 @@ def test_sweep_stop_after_zero_does_nothing(tmp_path):
     assert report.violations == []
 
 
+@pytest.mark.parametrize("bad", [{"workers": 0}, {"workers": -3}, {"stop_after": -1}])
+def test_sweep_engine_rejects_bad_worker_count_and_stop_after(bad):
+    with pytest.raises(ValueError):
+        sweep_conjecture1(8, **bad)
+    with pytest.raises(ValueError):
+        sweep_fake_gaussian("aa", seed=1, samples=10, **bad)
+
+
+def test_pool_is_no_larger_than_the_unit_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, units, chunksize=1):
+            return map(fn, units)
+
+    monkeypatch.setattr(qpositivity.harness.multiprocessing, "Pool", RecordingPool)
+    report = sweep_conjecture1(5, workers=8)  # units n = 2..5
+    assert sizes == [4]
+    assert report.cursor == 5
+    sweep_conjecture1(5, workers=3)
+    assert sizes == [4, 3]
+    sweep_conjecture1(2, workers=8)  # a single unit runs in-process
+    assert sizes == [4, 3]
+
+
 # ---------------------------------------------------------------------------
 # fake Gaussian sweep
 
@@ -362,7 +431,7 @@ def test_sweep_fake_gaussian_template_validation():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"samples": -1}, {"value_max": -1}, {"m_span": -500}, {"m_span": 0}, {"chunk": 0}]
+    "bad", [{"samples": -1}, {"value_max": -1}, {"m_span": -500}, {"m_span": 0}]
 )
 def test_sweep_fake_gaussian_parameter_validation(bad):
     kw = {"seed": 1, "samples": 10, **bad}
@@ -370,8 +439,9 @@ def test_sweep_fake_gaussian_parameter_validation(bad):
         sweep_fake_gaussian("aba", **kw)
 
 
-def test_sweep_fake_gaussian_worker_determinism():
-    kw = dict(seed=7, samples=240, m_span=40, chunk=50)
+def test_sweep_fake_gaussian_worker_determinism(monkeypatch):
+    monkeypatch.setattr(qpositivity.harness, "_FAKE_GAUSSIAN_CHUNK", 50)
+    kw = dict(seed=7, samples=240, m_span=40)
     single = sweep_fake_gaussian("aba", workers=1, **kw)
     double = sweep_fake_gaussian("aba", workers=2, **kw)
     assert canonical_json(single.to_dict(canonical=True)) == canonical_json(
@@ -382,10 +452,12 @@ def test_sweep_fake_gaussian_worker_determinism():
     assert single.seed == 7
 
 
-def test_sweep_fake_gaussian_resume(tmp_path):
+def test_sweep_fake_gaussian_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(qpositivity.harness, "_FAKE_GAUSSIAN_CHUNK", 60)
     path = str(tmp_path / "fg.ckpt")
-    kw = dict(seed=3, samples=300, m_span=30, chunk=60)
-    sweep_fake_gaussian("aa", checkpoint=path, stop_after=2, **kw)
+    kw = dict(seed=3, samples=300, m_span=30)
+    partial = sweep_fake_gaussian("aa", checkpoint=path, stop_after=2, **kw)
+    assert partial.cursor == 120
     resumed = sweep_fake_gaussian("aa", checkpoint=path, resume=True, **kw)
     plain = sweep_fake_gaussian("aa", **kw)
     assert canonical_json(resumed.to_dict(canonical=True)) == canonical_json(
@@ -448,6 +520,20 @@ def test_reproduce_stanton_slice():
     assert results[2].verdict == "polynomial-nonnegative"
     with pytest.raises(ValueError):
         reproduce_stanton(0)
+
+
+def test_reproduce_lemma6_grid():
+    rows, ok = reproduce_lemma6(3, 1)
+    assert ok
+    assert [(r["K"], r["M"]) for r in rows] == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    assert rows[0] == {"K": 2, "M": 0, "degree": 42, "order_bound": 32, "A": True, "B": None}
+    assert rows[2]["A"] is True and rows[2]["B"] is True
+
+
+@pytest.mark.parametrize("k_max, m_max", [(1, 3), (6, -1)])
+def test_reproduce_lemma6_refuses_an_empty_grid(k_max, m_max):
+    with pytest.raises(ValueError):
+        reproduce_lemma6(k_max, m_max)
 
 
 def test_reproduce_corollary10():

@@ -19,7 +19,6 @@ from qpositivity.qexpr import (
     from_fake_gaussian,
     from_quotient_spec,
     is_polynomial,
-    net_degree,
 )
 from qpositivity.qpoly import IntPolynomial, NotDivisible, q_binomial, q_int
 
@@ -81,7 +80,7 @@ class TestCanonicalForm:
 
     @given(expressions)
     def test_net_degree_additive(self, e):
-        assert net_degree(e * e) == 2 * net_degree(e)
+        assert (e * e).net_degree == 2 * e.net_degree
 
 
 class TestConstructors:
@@ -215,7 +214,7 @@ class TestExpansion:
     def test_degree_is_net_degree(self, e):
         p = expand(e)
         if p is not NotDivisible:
-            assert p.degree == (net_degree(e) if p.coeffs else 0)
+            assert p.degree == (e.net_degree if p.coeffs else 0)
             assert p.coeffs, "factored products are never the zero polynomial"
 
     def test_polynomial_quotients_are_reciprocal(self):
