@@ -11,16 +11,6 @@ import dataclasses
 
 from .qpoly import IntPolynomial
 
-__all__ = [
-    "PropertyRecord",
-    "nonnegativity",
-    "is_reciprocal",
-    "is_unimodal",
-    "is_parity_unimodal",
-    "order_of",
-    "property_record",
-]
-
 
 @dataclasses.dataclass(frozen=True)
 class PropertyRecord:

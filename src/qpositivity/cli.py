@@ -19,16 +19,15 @@ import sys
 
 from . import __version__
 from .harness import (
-    REMARK25_EXPECTED,
     REPORT_SCHEMA,
     CheckpointMismatch,
     CheckResult,
     SweepReport,
     crosscheck_theorems,
+    remark25_table,
     reproduce_corollary10,
     reproduce_lemma6,
-    reproduce_remark25,
-    reproduce_stanton,
+    stanton_table,
     sweep_conjecture1,
     sweep_fake_gaussian,
     verify_fake_gaussian,
@@ -134,7 +133,7 @@ def _load_batch(path: str):
                 if not line or line.startswith("#"):
                     continue
                 specs.append(_parse_batch_line(line, lineno))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read batch file: {exc}")
     return specs
 
@@ -152,6 +151,8 @@ def _print_check_text(result: CheckResult, expand_flag: bool) -> None:
         print(f"spec {result.spec}")
     if not result.is_polynomial:
         print("not a polynomial")
+    elif result.verdict == "VIOLATION" and result.properties is None:
+        print(f"VIOLATION; {result.note}")
     elif result.verdict == "VIOLATION":
         exponent, coefficient = result.properties.first_negative
         print(f"VIOLATION; first negative coefficient {coefficient} at q^{exponent}")
@@ -177,10 +178,7 @@ def cmd_check(args, command: "list[str]") -> int:
         specs = _load_batch(args.batch)
     else:
         specs = [_parse_check_spec(args.spec, args.fake_gaussian)]
-    try:
-        results = [_verify(s, args.expand, args.properties) for s in specs]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    results = [_checked(_verify, s, args.expand, args.properties) for s in specs]
     if args.format == "json":
         doc = _document(command, results=[_result_json(r) for r in results])
         print(json.dumps(doc))
@@ -268,90 +266,59 @@ def cmd_sweep(args, command: "list[str]") -> int:
     return EXIT_VIOLATION if report.counts["violations"] else EXIT_OK
 
 
-def _reproduce_remark25_rows():
-    rows = []
-    for (expr, p), expected in zip(reproduce_remark25(), REMARK25_EXPECTED):
-        rows.append(
-            {
-                "expression": str(expr),
-                "coefficients": list(p.coeffs),
-                "expected": list(expected),
-                "match": p.coeffs == expected,
-            }
-        )
-    return rows, all(r["match"] for r in rows)
+def _remark25_line(r: dict) -> str:
+    verdict = "match" if r["match"] else "MISMATCH, expected " + _coeff_list(r["expected"])
+    return f"{r['expression']} -> {_coeff_list(r['coefficients'])} {verdict}"
 
 
-def _reproduce_stanton_rows(m_max: int):
-    rows = []
-    ok = True
-    for m, result in enumerate(reproduce_stanton(m_max), start=1):
-        locus = result.properties.first_negative if result.properties else None
-        if m == 1:
-            good = result.verdict == "VIOLATION" and locus == (7, -1)
-        else:
-            good = result.verdict == "polynomial-nonnegative"
-        ok = ok and good
-        rows.append(
-            {
-                "m": m,
-                "verdict": result.verdict,
-                "first_negative": list(locus) if locus else None,
-                "match": good,
-            }
-        )
-    return rows, ok
+def _stanton_line(r: dict) -> str:
+    suffix = "" if r["match"] else "  <- unexpected"
+    if r["first_negative"]:
+        e, c = r["first_negative"]
+        return f"m={r['m']}: {r['verdict']}, first negative {c} at q^{e}{suffix}"
+    return f"m={r['m']}: {r['verdict']}{suffix}"
+
+
+def _lemma6_line(r: dict) -> str:
+    return (
+        f"K={r['K']} M={r['M']} degree={r['degree']} order_bound={r['order_bound']} "
+        f"A={'ok' if r['A'] else 'FAIL'} "
+        f"B={'-' if r['B'] is None else 'ok' if r['B'] else 'FAIL'}"
+    )
+
+
+def _m_max(args, default: int) -> int:
+    # m-max doubles as the m range bound (stanton) and the M grid bound (lemma6)
+    return default if args.m_max is None else args.m_max
+
+
+#: Table reproductions: name -> (harness function returning (rows, ok),
+#: its bounds from the parsed arguments, the text line of one row).
+_TABLES = {
+    "remark25": (remark25_table, lambda args: (), _remark25_line),
+    "stanton": (stanton_table, lambda args: (_m_max(args, 50),), _stanton_line),
+    "lemma6": (reproduce_lemma6, lambda args: (args.k_max, _m_max(args, 3)), _lemma6_line),
+}
 
 
 def cmd_reproduce(args, command: "list[str]") -> int:
-    name = args.name
-    report = None
-    # m-max doubles as the m range bound (stanton) and the M grid bound (lemma6)
-    m_max = args.m_max if args.m_max is not None else (50 if name == "stanton" else 3)
-    if name == "remark25":
-        rows, ok = _reproduce_remark25_rows()
-        text = [
-            f"{r['expression']} -> {_coeff_list(r['coefficients'])} "
-            f"{'match' if r['match'] else 'MISMATCH, expected ' + _coeff_list(r['expected'])}"
-            for r in rows
-        ]
-    elif name == "stanton":
-        rows, ok = _checked(_reproduce_stanton_rows, m_max)
-        text = []
-        for r in rows:
-            suffix = "" if r["match"] else "  <- unexpected"
-            if r["first_negative"]:
-                e, c = r["first_negative"]
-                text.append(f"m={r['m']}: {r['verdict']}, first negative {c} at q^{e}{suffix}")
-            else:
-                text.append(f"m={r['m']}: {r['verdict']}{suffix}")
-    elif name == "lemma6":
-        rows, ok = _checked(reproduce_lemma6, args.k_max, m_max)
-        text = [
-            f"K={r['K']} M={r['M']} degree={r['degree']} order_bound={r['order_bound']} "
-            f"A={'ok' if r['A'] else 'FAIL'} "
-            f"B={'-' if r['B'] is None else 'ok' if r['B'] else 'FAIL'}"
-            for r in rows
-        ]
-    elif name == "corollary10":
-        report = _checked(reproduce_corollary10, args.n_max)
-        ok = report.counts["violations"] == 0
-        rows = [report.to_dict(canonical=True)]
-        text = None
+    if args.name in _TABLES:
+        fn, bounds, line = _TABLES[args.name]
+        rows, ok = _checked(fn, *bounds(args))
     else:
-        report = _checked(crosscheck_theorems, args.n_max)
+        fn = reproduce_corollary10 if args.name == "corollary10" else crosscheck_theorems
+        report = _checked(fn, args.n_max)
         ok = report.counts["violations"] == 0
         rows = [report.to_dict(canonical=True)]
-        text = None
 
     if args.format == "json":
-        print(json.dumps(_document(command, name=name, rows=rows, ok=ok)))
-    elif report is not None:
-        _print_sweep_text(report)
-        print("reproduction ok" if ok else "reproduction FAILED")
+        print(json.dumps(_document(command, name=args.name, rows=rows, ok=ok)))
     else:
-        for line in text:
-            print(line)
+        if args.name in _TABLES:
+            for r in rows:
+                print(line(r))
+        else:
+            _print_sweep_text(report)
         print("reproduction ok" if ok else "reproduction FAILED")
     return EXIT_OK if ok else EXIT_VIOLATION
 

@@ -3,8 +3,9 @@
 Everything here is a formula or a construction that the brute-force
 machinery in qexpr can check independently: gcd criteria against actual
 expansion verdicts, closed-form degrees against net degrees, classifier
-labels against cyclotomic exponents.  None of these functions call the
-expansion engine themselves.
+labels against cyclotomic exponents.  Only rational_q_catalan calls the
+expansion engine, and it is the brute-force side of its comparison: it
+expands and never consults the gcd criterion.
 """
 
 from __future__ import annotations
@@ -14,24 +15,6 @@ import enum
 from math import gcd
 
 from .qexpr import FactoredQExpression, expand, from_factorials
-
-__all__ = [
-    "Case4Pattern",
-    "NotPolynomialPattern",
-    "Lemma6Variant",
-    "thm8_is_polynomial",
-    "thm9_is_polynomial",
-    "thm8_exponent",
-    "thm9_exponent",
-    "lemma5_applicable",
-    "lemma5_expression",
-    "lemma6_expression",
-    "lemma6_degree",
-    "lemma6_order_bound",
-    "case_classify",
-    "rational_q_catalan",
-    "corollary10_expression",
-]
 
 
 class _NotPolynomialPatternType:

@@ -44,27 +44,6 @@ from .qexpr import (
 )
 from .qpoly import IntPolynomial, NotDivisible, poly_mul
 
-__all__ = [
-    "CheckResult",
-    "SweepReport",
-    "CheckpointMismatch",
-    "CHECKPOINT_FORMAT",
-    "REPORT_SCHEMA",
-    "STANTON_SEQUENCE",
-    "FAKE_GAUSSIAN_TEMPLATES",
-    "REMARK25_EXPECTED",
-    "verify_quotient",
-    "verify_fake_gaussian",
-    "sweep_conjecture1",
-    "sweep_fake_gaussian",
-    "crosscheck_theorems",
-    "reproduce_remark25",
-    "reproduce_stanton",
-    "reproduce_lemma6",
-    "reproduce_corollary10",
-    "canonical_json",
-]
-
 CHECKPOINT_FORMAT = "qpositivity-checkpoint/1"
 REPORT_SCHEMA = "qpositivity-report/1"
 
@@ -91,10 +70,11 @@ class CheckpointMismatch(RuntimeError):
 class CheckResult:
     """Outcome of verifying a single spec.
 
-    verdict is VIOLATION exactly when the expression is a polynomial with
-    some negative coefficient.  properties is attached on demand and
-    always on violation.  note carries diagnostics for cross-check rows;
-    expansion is kept only when explicitly requested.
+    verdict is VIOLATION when the expression is a polynomial with some
+    negative coefficient, or when two routes disagree on it; note then
+    says which.  properties is attached on demand and always on a
+    violation with an expansion.  expansion is kept only when explicitly
+    requested.
     """
 
     spec: "QuotientSpec | FakeGaussianSpec"
@@ -231,37 +211,37 @@ def normalize_quotient_spec(spec: QuotientSpec) -> QuotientSpec:
     return QuotientSpec(n, k, l)
 
 
+def _polynomial_verdict(
+    spec, normalized_spec, p, properties: bool, keep_expansion: bool
+) -> CheckResult:
+    """The verdict on a case the divisor profile calls a polynomial.
+
+    p is its expansion, or NotDivisible when the expander refused it: the
+    two polynomiality routes disagree, which is reported as a violation.
+    The property record is attached on request and always on a violation.
+    """
+    if p is NotDivisible:
+        return CheckResult(spec, normalized_spec, True, VERDICT_VIOLATION,
+                           note="divisor profile says polynomial, expansion refused")
+    nonneg, _ = nonnegativity(p)
+    return CheckResult(
+        spec, normalized_spec, True, VERDICT_NONNEGATIVE if nonneg else VERDICT_VIOLATION,
+        properties=property_record(p) if properties or not nonneg else None,
+        expansion=p if keep_expansion else None,
+    )
+
+
 def _verify_expression(
-    spec,
-    normalized_spec,
-    expr: FactoredQExpression,
-    properties: bool,
-    keep_expansion: bool,
+    spec, normalized_spec, expr: FactoredQExpression, properties: bool, keep_expansion: bool
 ) -> CheckResult:
     started = time.perf_counter()
-    poly = is_polynomial(expr)
-    props = None
-    expansion = None
-    if not poly:
-        verdict = VERDICT_NOT_POLYNOMIAL
-    else:
+    if is_polynomial(expr):
         p = expand(expr)
-        assert p is not NotDivisible, f"divisor profile and expansion disagree on {expr}"
-        nonneg, _ = nonnegativity(p)
-        verdict = VERDICT_NONNEGATIVE if nonneg else VERDICT_VIOLATION
-        if properties or not nonneg:
-            props = property_record(p)
-        if keep_expansion:
-            expansion = p
-    return CheckResult(
-        spec=spec,
-        normalized_spec=normalized_spec,
-        is_polynomial=poly,
-        verdict=verdict,
-        properties=props,
-        elapsed=time.perf_counter() - started,
-        expansion=expansion,
-    )
+        result = _polynomial_verdict(spec, normalized_spec, p, properties, keep_expansion)
+    else:
+        result = CheckResult(spec, normalized_spec, False, VERDICT_NOT_POLYNOMIAL)
+    result.elapsed = time.perf_counter() - started
+    return result
 
 
 def verify_quotient(
@@ -347,8 +327,16 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict)
         violations = [CheckResult.from_dict(v) for v in data["violations"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is incomplete: {exc!r}") from exc
-    if not isinstance(cursor, int) or restored.keys() != counts.keys():
-        raise CheckpointMismatch(f"checkpoint {path} has a malformed cursor or counts")
+    if not (
+        isinstance(cursor, int)
+        and restored.keys() == counts.keys()
+        and all(type(c) is int and c >= 0 for c in restored.values())
+        and restored["violations"] == len(violations)
+    ):
+        raise CheckpointMismatch(
+            f"checkpoint {path} has a malformed cursor or counts, "
+            "or a violation count that disagrees with its violations"
+        )
     return cursor, restored, violations
 
 
@@ -442,15 +430,6 @@ def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
     }
 
 
-def _structural_note(p: IntPolynomial) -> "str | None":
-    # cheap invariant asserted across the sweep: constant term 1.  No
-    # palindrome test: expand_reciprocal mirrors by construction and checks
-    # the mirror against f(1) instead.
-    if p.coefficient(0) != 1:
-        return f"constant term {p.coefficient(0)} != 1"
-    return None
-
-
 def _conjecture1_unit(n: int):
     """All triples 1 <= l < k <= n/2 for one n; the per-n work unit."""
     examined = 0
@@ -469,26 +448,9 @@ def _conjecture1_unit(n: int):
             # is_polynomial is the second, independent polynomiality route:
             # the f(1) check inside expand_reciprocal does not certify it
             p = expand_reciprocal(expr) if is_polynomial(expr) else NotDivisible
-            if p is NotDivisible:
-                violations.append(
-                    CheckResult(spec, spec, True, VERDICT_VIOLATION,
-                                note="divisor profile says polynomial, expansion refused")
-                )
-                continue
-            nonneg, _ = nonnegativity(p)
-            note = _structural_note(p)
-            if nonneg and note is None:
-                continue
-            violations.append(
-                CheckResult(
-                    spec,
-                    spec,
-                    True,
-                    VERDICT_VIOLATION if not nonneg else VERDICT_NONNEGATIVE,
-                    properties=property_record(p),
-                    note=note,
-                )
-            )
+            result = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
+            if result.verdict == VERDICT_VIOLATION:
+                violations.append(result)
     return n, examined, polynomial, violations
 
 
@@ -690,6 +652,46 @@ def reproduce_stanton(m_max: int = 50) -> "list[CheckResult]":
         verify_fake_gaussian(FakeGaussianSpec(m, STANTON_SEQUENCE))
         for m in range(1, m_max + 1)
     ]
+
+
+def remark25_table() -> "tuple[list[dict], bool]":
+    """reproduce_remark25 against REMARK25_EXPECTED: one row per quotient,
+    and whether every row matched."""
+    rows = []
+    for (expr, p), expected in zip(reproduce_remark25(), REMARK25_EXPECTED):
+        rows.append(
+            {
+                "expression": str(expr),
+                "coefficients": list(p.coeffs),
+                "expected": list(expected),
+                "match": p.coeffs == expected,
+            }
+        )
+    return rows, all(r["match"] for r in rows)
+
+
+def stanton_table(m_max: int) -> "tuple[list[dict], bool]":
+    """reproduce_stanton(m_max) against the expected verdicts: the violation
+    -1 at q^7 for m=1, nonnegative for every m >= 2.  One row per m, and
+    whether every row matched."""
+    rows = []
+    ok = True
+    for m, result in enumerate(reproduce_stanton(m_max), start=1):
+        locus = result.properties.first_negative if result.properties else None
+        if m == 1:
+            good = result.verdict == VERDICT_VIOLATION and locus == (7, -1)
+        else:
+            good = result.verdict == VERDICT_NONNEGATIVE
+        ok = ok and good
+        rows.append(
+            {
+                "m": m,
+                "verdict": result.verdict,
+                "first_negative": list(locus) if locus else None,
+                "match": good,
+            }
+        )
+    return rows, ok
 
 
 def reproduce_lemma6(k_max: int, m_max: int) -> "tuple[list[dict], bool]":

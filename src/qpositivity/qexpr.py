@@ -38,20 +38,6 @@ from .qpoly import (
     poly_mul,
 )
 
-__all__ = [
-    "FactoredQExpression",
-    "QuotientSpec",
-    "FakeGaussianSpec",
-    "from_quotient_spec",
-    "from_factorials",
-    "from_fake_gaussian",
-    "cyclotomic_exponent",
-    "is_polynomial",
-    "expand",
-    "expand_reciprocal",
-    "expand_via_cyclotomics",
-]
-
 
 @dataclasses.dataclass(frozen=True, init=False)
 class FactoredQExpression:

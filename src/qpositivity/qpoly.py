@@ -17,20 +17,6 @@ import dataclasses
 import itertools
 from operator import sub
 
-__all__ = [
-    "IntPolynomial",
-    "NotDivisible",
-    "CyclotomicCache",
-    "NEG_INF",
-    "poly_add",
-    "poly_mul",
-    "poly_div_exact",
-    "div_one_minus_qk",
-    "cyclotomic",
-    "q_int",
-    "q_binomial",
-]
-
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
 

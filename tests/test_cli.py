@@ -1,13 +1,19 @@
 """Command line behavior: parsing, formats, exit codes, checkpoints."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qpositivity.harness
 from qpositivity.cli import main
+from qpositivity.qpoly import NotDivisible
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
 
@@ -197,20 +203,31 @@ def test_reproduce_lemma6(capsys):
     assert "K=3 M=0 degree=132 order_bound=94 A=ok B=ok" in out
 
 
-#: sha256 of the stdout of `reproduce lemma6 --k-max 4 --m-max 2`, taken while
-#: the grid check still lived in the command line front end.
-LEMMA6_STDOUT_SHA256 = {
-    "json": "aec8eab279df013e2018a4045f1e43b3cbb58eb9643222b7feffd5a60299f0d3",
-    "text": "3dd8c67e04f19e64457faa4d8becf5631fd20949e1ea4bbbd072b4a01655bca5",
+#: Bounds of the pinned table reproductions.
+PINNED_REPRODUCE_ARGS = {
+    "lemma6": ["--k-max", "4", "--m-max", "2"],
+    "remark25": [],
+    "stanton": ["--m-max", "12"],
+}
+
+#: sha256 of the stdout of `reproduce NAME ... --format FMT`, taken while each
+#: table check still lived in the command line front end.
+REPRODUCE_STDOUT_SHA256 = {
+    ("lemma6", "json"): "aec8eab279df013e2018a4045f1e43b3cbb58eb9643222b7feffd5a60299f0d3",
+    ("lemma6", "text"): "3dd8c67e04f19e64457faa4d8becf5631fd20949e1ea4bbbd072b4a01655bca5",
+    ("remark25", "json"): "1130d61ba82ede78bb48c8943c1e929f4b8d9ae3899984bce6b6ed246ccc8da4",
+    ("remark25", "text"): "a582f8e3d5f6cb42322a920aa0ade7d5e5883fcc8d358ff9a5d256ef8c7bf606",
+    ("stanton", "json"): "6936a54bdf5803d7e433ba12a465c1d209b9f9b2456319121ae1cdf7a37c501f",
+    ("stanton", "text"): "c0a3cedbc472dec3fe3c942dca936536bf08e57991e28bca9befe60039ba4d86",
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(LEMMA6_STDOUT_SHA256))
-def test_reproduce_lemma6_output_pinned(fmt, capsys):
-    argv = ["reproduce", "lemma6", "--k-max", "4", "--m-max", "2", "--format", fmt]
+@pytest.mark.parametrize("name, fmt", sorted(REPRODUCE_STDOUT_SHA256))
+def test_reproduce_output_pinned(name, fmt, capsys):
+    argv = ["reproduce", name, *PINNED_REPRODUCE_ARGS[name], "--format", fmt]
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == LEMMA6_STDOUT_SHA256[fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_STDOUT_SHA256[name, fmt]
 
 
 def test_reproduce_corollary10(capsys):
@@ -289,6 +306,24 @@ def test_batch_bad_fake_gaussian_is_a_usage_error(tmp_path, capsys):
     assert "m must be a positive integer" in capsys.readouterr().err
 
 
+def test_batch_not_utf8_is_a_usage_error(tmp_path, capsys):
+    batch = tmp_path / "specs.txt"
+    batch.write_bytes(b"\xff\xfe 1 2\n")
+    assert run_cli(["check", "--batch", str(batch)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read batch file")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_reports_a_route_disagreement(fmt, monkeypatch, capsys):
+    # an expander that refuses what the divisor profile calls a polynomial
+    monkeypatch.setattr(qpositivity.harness, "expand", lambda expr: NotDivisible)
+    assert run_cli(["check", "11", "3", "2", "--format", fmt]) == 3
+    out = capsys.readouterr().out
+    assert "divisor profile says polynomial, expansion refused" in out
+
+
 def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
     ckpt = tmp_path / "c1.ckpt"
     args = ["sweep", "conjecture1", "--n-max", "16", "--jobs", "1", "--checkpoint", str(ckpt)]
@@ -299,3 +334,75 @@ def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(args + ["--resume"]) == 2
     assert "refusing to resume" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: small bounds keep every example well under a second, --jobs 1
+# keeps every sweep in-process and no --checkpoint means nothing is written.
+
+
+def _with_options(head, options):
+    """head, then each of options drawn present or absent; an option maps to
+    the strategy of its value, or to None for a bare switch."""
+    drawn = [
+        st.none() | (st.just([flag]) if values is None
+                     else values.map(lambda v, flag=flag: [flag, str(v)]))
+        for flag, values in options.items()
+    ]
+    return st.tuples(head, *drawn).map(
+        lambda t: t[0] + [token for part in t[1:] if part for token in part]
+    )
+
+
+_INT = st.integers(-5, 40)
+_FORMAT = st.sampled_from(["text", "json"])
+
+_CHECK_ARGV = _with_options(
+    st.lists(_INT.map(str), min_size=3, max_size=3)
+    | st.lists(_INT.map(str) | st.just("x"), max_size=4)
+    | st.tuples(_INT, st.lists(st.integers(-2, 4), min_size=1, max_size=5)).map(
+        lambda t: ["--fake-gaussian", str(t[0]), ",".join(map(str, t[1]))]
+    ),
+    {"--expand": None, "--properties": None, "--format": _FORMAT},
+).map(lambda argv: ["check", *argv])
+
+# lemma6 and corollary10 grow fast with their bounds: 8 keeps them under 0.3 s
+_REPRODUCE_ARGV = _with_options(
+    st.tuples(
+        st.sampled_from(["remark25", "stanton", "corollary10", "lemma6", "crosscheck", "x"]),
+        st.integers(-5, 8),
+    ).map(lambda t: ["reproduce", t[0], "--n-max", str(t[1])]),
+    {"--m-max": st.integers(-5, 8), "--k-max": st.integers(-5, 8), "--format": _FORMAT},
+)
+
+_SWEEP_ARGV = _with_options(
+    st.sampled_from(["conjecture1", "fake-gaussian"]).map(
+        lambda family: ["sweep", family, "--jobs", "1"]
+    ),
+    {
+        "--n-max": st.integers(-5, 30),
+        "--template": st.sampled_from(["a", "aa", "aba", "abcba"]),
+        "--seed": _INT,
+        "--samples": st.integers(-5, 20),
+        "--value-max": _INT,
+        "--m-span": _INT,
+        "--stop-after": _INT,
+        "--long-run": None,
+        "--format": _FORMAT,
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "argvs", [_CHECK_ARGV, _REPRODUCE_ARGV, _SWEEP_ARGV], ids=["check", "reproduce", "sweep"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(argvs, data):
+    argv = data.draw(argvs)
+    err = io.StringIO()
+    # run in-process: an uncaught exception would fail the test outright
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

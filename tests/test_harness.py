@@ -19,10 +19,12 @@ from qpositivity.harness import (
     canonical_json,
     crosscheck_theorems,
     normalize_quotient_spec,
+    remark25_table,
     reproduce_corollary10,
     reproduce_lemma6,
     reproduce_remark25,
     reproduce_stanton,
+    stanton_table,
     sweep_conjecture1,
     sweep_fake_gaussian,
     verify_fake_gaussian,
@@ -177,6 +179,16 @@ def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     for v in violations:
         assert v.note == "divisor profile says polynomial, expansion refused"
         assert not is_polynomial(from_quotient_spec(v.spec))
+
+
+def test_route_disagreement_is_a_violation(monkeypatch):
+    # an expander that refuses what the divisor profile calls a polynomial
+    monkeypatch.setattr(qpositivity.harness, "expand", lambda expr: NotDivisible)
+    r = verify_quotient(QuotientSpec(11, 3, 2), properties=True, keep_expansion=True)
+    assert r.is_polynomial
+    assert r.verdict == "VIOLATION"
+    assert r.note == "divisor profile says polynomial, expansion refused"
+    assert r.properties is None and r.expansion is None
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +351,14 @@ def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
         {"counts": {"examined": 0}, "violations": []},
         {"counts": [1], "violations": []},
         {"counts": {"examined": 0, "polynomial": 0, "violations": 0}, "violations": [{}]},
+        {"counts": {"examined": "x", "polynomial": 0, "violations": 0}, "violations": []},
+        {"counts": {"examined": 9, "polynomial": -1, "violations": 0}, "violations": []},
+        {"counts": {"examined": 9, "polynomial": 3, "violations": 0},
+         "violations": [CheckResult(QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True,
+                                    "VIOLATION").to_dict(canonical=True)]},
     ],
-    ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation"],
+    ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
+         "count-not-an-int", "negative-count", "uncounted-violation"],
 )
 def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
     path = tmp_path / "c1.ckpt"
@@ -520,6 +538,34 @@ def test_reproduce_stanton_slice():
     assert results[2].verdict == "polynomial-nonnegative"
     with pytest.raises(ValueError):
         reproduce_stanton(0)
+
+
+def test_remark25_table(monkeypatch):
+    rows, ok = remark25_table()
+    assert ok
+    assert [r["coefficients"] for r in rows] == [list(e) for e in REMARK25_EXPECTED]
+    assert all(r["match"] for r in rows)
+
+    wrong = ((1, 2, 3),) + REMARK25_EXPECTED[1:]
+    monkeypatch.setattr(qpositivity.harness, "REMARK25_EXPECTED", wrong)
+    rows, ok = remark25_table()
+    assert not ok
+    assert [r["match"] for r in rows] == [False, True, True, True]
+
+
+def test_stanton_table(monkeypatch):
+    rows, ok = stanton_table(3)
+    assert ok
+    assert rows[0] == {"m": 1, "verdict": "VIOLATION", "first_negative": [7, -1], "match": True}
+    assert rows[2] == {"m": 3, "verdict": "polynomial-nonnegative", "first_negative": None,
+                       "match": True}
+
+    # m=2 judged as if it were m=1, and m=1 as if it were m=2: both rows fail
+    monkeypatch.setattr(qpositivity.harness, "reproduce_stanton",
+                        lambda m_max: reproduce_stanton(2)[::-1])
+    rows, ok = stanton_table(2)
+    assert not ok
+    assert [r["match"] for r in rows] == [False, False]
 
 
 def test_reproduce_lemma6_grid():
