@@ -135,6 +135,8 @@ def _load_batch(path: str):
                 specs.append(_parse_batch_line(line, lineno))
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read batch file: {exc}")
+    if not specs:
+        raise UsageError(f"batch file {path} holds no spec")
     return specs
 
 

@@ -302,8 +302,14 @@ def _load_checkpoint(path: str) -> "dict | None":
     return data
 
 
-def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict):
-    """Cursor, counts, and violations restored from a checkpoint, or fresh."""
+def _resume_state(
+    path: "str | None", resume: bool, sweep_id: str, params: dict, last_cursor: int
+):
+    """Cursor, counts, and violations restored from a checkpoint, or fresh.
+
+    A restored cursor must lie in 0..last_cursor, the cursor of the
+    sweep's final unit.
+    """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (path and resume):
         return 0, counts, []
@@ -328,13 +334,14 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is incomplete: {exc!r}") from exc
     if not (
-        isinstance(cursor, int)
+        type(cursor) is int
+        and 0 <= cursor <= last_cursor
         and restored.keys() == counts.keys()
         and all(type(c) is int and c >= 0 for c in restored.values())
         and restored["violations"] == len(violations)
     ):
         raise CheckpointMismatch(
-            f"checkpoint {path} has a malformed cursor or counts, "
+            f"checkpoint {path} has a cursor outside 0..{last_cursor}, malformed counts, "
             "or a violation count that disagrees with its violations"
         )
     return cursor, restored, violations
@@ -368,6 +375,7 @@ def _run_units(
     seed: "int | None",
     units_from,
     unit_fn,
+    last_cursor: int,
     workers: int = 1,
     checkpoint: "str | None" = None,
     resume: bool = False,
@@ -379,13 +387,16 @@ def _run_units(
     lists the units still to do, and at most stop_after of them run.  Each
     unit_fn(unit) returns (cursor, examined, polynomial, violations); the
     results are merged in unit order, whatever the worker count, and the
-    checkpoint is rewritten after every merged unit.
+    checkpoint is rewritten after every merged unit.  last_cursor is the
+    cursor after the final unit; a checkpoint past it is refused.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be nonnegative")
-    cursor, counts, violations = _resume_state(checkpoint, resume, sweep_id, params)
+    cursor, counts, violations = _resume_state(
+        checkpoint, resume, sweep_id, params, last_cursor
+    )
     units = units_from(cursor)
     if stop_after is not None:
         units = units[:stop_after]
@@ -472,7 +483,7 @@ def sweep_conjecture1(
         raise ValueError("n_max must be at least 2")
     return _run_units(
         "conjecture1", {"n_max": n_max}, None, _per_n(2, n_max), _conjecture1_unit,
-        workers, checkpoint, resume, stop_after,
+        n_max, workers, checkpoint, resume, stop_after,
     )
 
 
@@ -559,7 +570,7 @@ def sweep_fake_gaussian(
 
     return _run_units(
         "fake-gaussian", params, seed, units_from, _fake_gaussian_unit,
-        workers, checkpoint, resume, stop_after,
+        samples, workers, checkpoint, resume, stop_after,
     )
 
 
@@ -574,7 +585,8 @@ def crosscheck_theorems(n_max: int) -> SweepReport:
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     return _run_units(
-        "crosscheck-theorems", {"n_max": n_max}, None, _per_n(2, n_max), _crosscheck_unit
+        "crosscheck-theorems", {"n_max": n_max}, None, _per_n(2, n_max), _crosscheck_unit,
+        n_max,
     )
 
 
@@ -740,7 +752,8 @@ def reproduce_corollary10(n_max: int) -> SweepReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return _run_units(
-        "corollary10", {"n_max": n_max}, None, _per_n(1, n_max), _corollary10_unit
+        "corollary10", {"n_max": n_max}, None, _per_n(1, n_max), _corollary10_unit,
+        n_max,
     )
 
 

@@ -249,29 +249,31 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     """Expanded coefficient form of expr, or NotDivisible.
 
     Works entirely in (1 - q^m) factors: each [m] is (1-q^m)/(1-q), and
-    the surplus (1-q) factors are appended to whichever side is short, so
+    the surplus (1-q) factors are prepended to whichever side is short, so
     both sides end up with equally many factors.  Numerator factors are
     multiplied in ascending order; after each one, any denominator whose
     full divisor profile is available in the running product is divided
     out immediately, which keeps intermediate degrees near the final one.
 
-    The availability counter tracks exact cyclotomic multiplicities of the
+    The availability table tracks exact cyclotomic multiplicities of the
     running product (d = 1 included), so a scheduled division can never
     fail; this is asserted, not assumed.  Whatever denominators remain at
     the end are attempted unconditionally, and the NotDivisible verdict is
     produced by those concrete division failures.
     """
-    numerators, pending = _one_minus_q_arguments(expr)
-    avail: Counter[int] = Counter()
+    numerators, denominators = _one_minus_q_arguments(expr)
+    # avail[d] is the multiplicity of C_d in the running product
+    avail = [0] * (max(numerators + denominators, default=0) + 1)
+    pending = [(cand, _divisors(cand)) for cand in denominators]
     coeffs = [1]
-
-    def try_pending() -> None:
-        nonlocal coeffs
+    for m in numerators:
+        coeffs = _mul_one_minus_qm_list(coeffs, m)
+        for d in _divisors(m):
+            avail[d] += 1
         i = len(pending) - 1
         while i >= 0:
-            cand = pending[i]
-            cand_divisors = _divisors(cand)
-            if all(avail[d] >= 1 for d in cand_divisors):
+            cand, cand_divisors = pending[i]
+            if all(map(avail.__getitem__, cand_divisors)):
                 divided = _div_one_minus_qk_list(coeffs, cand)
                 assert divided is not None, f"scheduled division by (1-q^{cand}) failed"
                 coeffs = divided
@@ -282,13 +284,7 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
             else:
                 i -= 1
 
-    for m in numerators:
-        coeffs = _mul_one_minus_qm_list(coeffs, m)
-        for d in _divisors(m):
-            avail[d] += 1
-        try_pending()
-
-    for cand in sorted(pending):
+    for cand, _ in sorted(pending):
         divided = _div_one_minus_qk_list(coeffs, cand)
         if divided is None:
             return NotDivisible

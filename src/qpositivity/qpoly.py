@@ -7,6 +7,11 @@ vectors have essentially no gaps, and the sweeps are throughput-bound.
 Coefficients are plain Python ints; central coefficients of large Gaussian
 polynomials overflow any fixed-width type, so no numpy shortcuts.
 
+The kernels keep their inner loops in C without leaving Python ints:
+multiplying or dividing by (1 - q^k) is one slice subtraction or one
+prefix sum per residue class, and poly_mul adds one shifted row per
+nonzero term of its sparser operand, each as a map over a list slice.
+
 Division helpers return the ``NotDivisible`` singleton instead of raising:
 a non-polynomial quotient is an expected, reportable outcome, not an error.
 """
@@ -14,8 +19,9 @@ a non-polynomial quotient is an expected, reportable outcome, not an error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from operator import sub
+from operator import add, mul, sub
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -177,7 +183,13 @@ def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact convolution product (schoolbook).
+    """Exact convolution product, one row slice per nonzero term.
+
+    The operand with fewer nonzero terms drives the outer loop, and its
+    zero terms are skipped.  Each remaining term c*q^i adds a row to the
+    output slice starting at i with map: the other operand itself for
+    c = 1, subtracted for c = -1, and a scaled copy otherwise.  A dense
+    polynomial times a two-term one is two slice additions at C speed.
 
     >>> poly_mul(IntPolynomial([1, 1, 1]), IntPolynomial([1, -1]))
     IntPolynomial(1 - q^3)
@@ -185,11 +197,17 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     ca, cb = a.coeffs, b.coeffs
     if not ca or not cb:
         return IntPolynomial(())
-    out = [0] * (len(ca) + len(cb) - 1)
-    for i, ai in enumerate(ca):
-        if ai:
-            for j, bj in enumerate(cb):
-                out[i + j] += ai * bj
+    if len(cb) - cb.count(0) < len(ca) - ca.count(0):
+        ca, cb = cb, ca
+    n = len(cb)
+    out = [0] * (len(ca) + n - 1)
+    for i, c in enumerate(ca):
+        if c == 1:
+            out[i : i + n] = map(add, out[i : i + n], cb)
+        elif c == -1:
+            out[i : i + n] = map(sub, out[i : i + n], cb)
+        elif c:
+            out[i : i + n] = map(add, out[i : i + n], map(mul, cb, itertools.repeat(c)))
     return IntPolynomial(out)
 
 
@@ -273,8 +291,9 @@ def div_one_minus_qk(a: IntPolynomial, k: int) -> "IntPolynomial | _NotDivisible
     return IntPolynomial(out)
 
 
-def _divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+@functools.lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending; memoized, hence a tuple."""
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -283,7 +302,7 @@ def _divisors(n: int) -> list[int]:
             if d * d != n:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def _q_power_minus_one(n: int) -> IntPolynomial:

@@ -316,6 +316,19 @@ def test_batch_not_utf8_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("content", ["", "# only a comment\n", "\n  \n# a\n"],
+                         ids=["empty", "comment", "blanks-and-comment"])
+def test_batch_without_a_spec_is_a_usage_error(tmp_path, capsys, content, fmt):
+    batch = tmp_path / "specs.txt"
+    batch.write_text(content)
+    assert run_cli(["check", "--batch", str(batch), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: batch file")
+    assert "holds no spec" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_reports_a_route_disagreement(fmt, monkeypatch, capsys):
     # an expander that refuses what the divisor profile calls a polynomial
     monkeypatch.setattr(qpositivity.harness, "expand", lambda expr: NotDivisible)

@@ -356,9 +356,14 @@ def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
         {"counts": {"examined": 9, "polynomial": 3, "violations": 0},
          "violations": [CheckResult(QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True,
                                     "VIOLATION").to_dict(canonical=True)]},
+        {"cursor": -40, "counts": {"examined": 10**6, "polynomial": 0, "violations": 0},
+         "violations": []},
+        {"cursor": 21, "counts": {"examined": 9, "polynomial": 3, "violations": 0},
+         "violations": []},
     ],
     ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
-         "count-not-an-int", "negative-count", "uncounted-violation"],
+         "count-not-an-int", "negative-count", "uncounted-violation", "negative-cursor",
+         "cursor-past-the-end"],
 )
 def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
     path = tmp_path / "c1.ckpt"
@@ -368,6 +373,20 @@ def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointMismatch):
         sweep_conjecture1(20, checkpoint=str(path), resume=True)
+
+
+def test_fake_gaussian_checkpoint_cursor_past_the_samples_refused(tmp_path):
+    path = str(tmp_path / "fg.ckpt")
+    sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["cursor"] == 10
+    assert sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path, resume=True).cursor == 10
+    payload["cursor"] = 11
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointMismatch):
+        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path, resume=True)
 
 
 def test_sweep_checkpoint_io_error_propagates(tmp_path):

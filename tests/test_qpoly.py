@@ -10,7 +10,7 @@ import doctest
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qpositivity.qpoly as qpoly
@@ -55,6 +55,32 @@ def one_minus_q(m: int) -> IntPolynomial:
 
 small_polys = st.lists(st.integers(-9, 9), max_size=25).map(IntPolynomial)
 nonzero_polys = small_polys.filter(lambda p: bool(p.coeffs))
+
+# poly_mul treats 0, 1, -1 and every other coefficient differently, and the
+# sweeps reach 130-bit coefficients
+BIG = 2**130
+mul_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1, BIG + 1, -(BIG << 5)]),
+    st.integers(-9, 9),
+    st.integers(-(2**140), 2**140),
+)
+dense_polys = st.lists(mul_coeffs, max_size=30).map(IntPolynomial)
+sparse_polys = st.one_of(
+    st.just(IntPolynomial.zero()),
+    st.builds(IntPolynomial.monomial, mul_coeffs, st.integers(0, 30)),
+    st.integers(1, 30).map(lambda j: IntPolynomial.one() + IntPolynomial.monomial(1, j)),
+    st.integers(1, 30).map(lambda j: IntPolynomial.one() - IntPolynomial.monomial(1, j)),
+)
+mul_operands = st.one_of(sparse_polys, dense_polys)
+
+
+def schoolbook_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Reference product: every pair of coefficients, nothing skipped."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(out)
 
 
 def test_doctests():
@@ -119,6 +145,16 @@ class TestRingOps:
         assert poly_add(a, b) == poly_add(b, a)
         assert poly_mul(a, b) == poly_mul(b, a)
         assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
+
+    @given(mul_operands, mul_operands)
+    @example(IntPolynomial([BIG, -1, 0, 1, 3]), IntPolynomial([1, 0, 0, 1]))
+    @example(IntPolynomial([1, 0, -1]), IntPolynomial([2, -BIG, 0, 1, 1]))
+    @example(IntPolynomial.zero(), IntPolynomial([1, 2]))
+    def test_mul_matches_schoolbook(self, a, b):
+        # both argument orders, so either operand is the sparser one
+        expected = schoolbook_mul(a, b)
+        assert poly_mul(a, b) == expected
+        assert poly_mul(b, a) == expected
 
     @given(small_polys, small_polys, st.integers(-5, 5))
     def test_evaluation_is_a_homomorphism(self, a, b, x):
@@ -206,6 +242,13 @@ class TestDivOneMinusQk:
     @given(small_polys, st.integers(1, 12))
     def test_roundtrip(self, a, k):
         assert div_one_minus_qk(poly_mul(a, one_minus_q(k)), k) == a
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 501):
+        got = qpoly._divisors(n)
+        assert isinstance(got, tuple)
+        assert got == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 class TestCyclotomic:
