@@ -36,7 +36,7 @@ from .qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
     expand,
-    expand_reciprocal,
+    expand_quotient_row,
     from_factorials,
     from_fake_gaussian,
     from_quotient_spec,
@@ -442,26 +442,34 @@ def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
 
 
 def _conjecture1_unit(n: int):
-    """All triples 1 <= l < k <= n/2 for one n; the per-n work unit."""
+    """All triples 1 <= l < k <= n/2 for one n; the per-n work unit.
+
+    Each k expands its polynomial l from one chained series, which walks
+    l downward; violations are kept in ascending l within each k.
+    """
     examined = 0
     polynomial = 0
     violations: list[CheckResult] = []
     table = _polynomial_ls(n)
     for k in range(2, n // 2 + 1):
         profile_k = table[k]
-        for l in range(1, k):
-            examined += 1
-            if not profile_k <= table[l]:
-                continue
-            polynomial += 1
+        ls = [l for l in range(1, k) if profile_k <= table[l]]
+        examined += k - 1
+        polynomial += len(ls)
+        if not ls:
+            continue
+        exprs = {l: from_quotient_spec(QuotientSpec(n, k, l)) for l in ls}
+        row = []
+        for l, p in expand_quotient_row(n, k, exprs):
             spec = QuotientSpec(n, k, l)
-            expr = from_quotient_spec(spec)
             # is_polynomial is the second, independent polynomiality route:
-            # the f(1) check inside expand_reciprocal does not certify it
-            p = expand_reciprocal(expr) if is_polynomial(expr) else NotDivisible
+            # the f(1) check inside expand_quotient_row does not certify it
+            if not is_polynomial(exprs[l]):
+                p = NotDivisible
             result = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
             if result.verdict == VERDICT_VIOLATION:
-                violations.append(result)
+                row.append(result)
+        violations.extend(reversed(row))
     return n, examined, polynomial, violations
 
 

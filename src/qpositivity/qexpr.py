@@ -16,24 +16,28 @@ alone.
 
 For an expression already known to be a polynomial, expand_reciprocal
 computes only the lower half of the coefficients as a truncated power
-series and mirrors it, checked against the exact value at q = 1.
+series and mirrors it, checked against the exact value at q = 1.  The
+Conjecture 1 sweep uses the same truncated kernels and the same mirror
+check, but expands a whole (n, k) row from one chained series: stepping
+l down multiplies by one (1-q^m) factor and divides by one (1-q^j), and
+each polynomial l of the row is a prefix of that series.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from collections import Counter
 from math import prod
-from operator import sub
 
 from .qpoly import (
     IntPolynomial,
     NotDivisible,
     CyclotomicCache,
     _div_one_minus_qk_list,
+    _div_one_minus_qk_series,
     _divisors,
     _mul_one_minus_qm_list,
+    _mul_one_minus_qm_series,
     cyclotomic,
     poly_mul,
 )
@@ -292,20 +296,37 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     return IntPolynomial(coeffs)
 
 
+def _mirrored_checked(series: "list[int]", degree: int, top: int, bottom: int) -> "IntPolynomial":
+    """The reciprocal polynomial of the given degree whose lower half is series.
+
+    Only the first degree//2 + 1 terms of series are read, so any longer
+    truncation of the same power series gives the same result.  Its
+    coefficient sum must equal f(1) = top/bottom; on a mismatch the
+    verdict is NotDivisible.
+    """
+    lower = series[: degree // 2 + 1]
+    full = lower + lower[: degree + 1 - len(lower)][::-1]
+    if sum(full) * bottom != top:
+        return NotDivisible
+    return IntPolynomial(full)
+
+
 def expand_reciprocal(expr: FactoredQExpression) -> "IntPolynomial":
     """Expansion of an expression already known to be a polynomial.
 
     A polynomial value of expr is reciprocal of degree D = net_degree, so
     its power series mod q^N, N = D//2 + 1, determines it: the upper half
     mirrors the lower.  The series is built by interleaving multiplication
-    by (1-q^m) with series division by (1-q^j), both truncated mod q^N;
-    arguments >= N act as 1 and are skipped.
+    by (1-q^m) with series division by (1-q^j), both truncated mod q^N by
+    the in-place kernels _mul_one_minus_qm_series and
+    _div_one_minus_qk_series; arguments >= N act as 1.
 
-    The mirrored result is checked against f(1) = prod m^e, computed
-    exactly from the factored form; on a mismatch (f(1) need not even be
-    an integer) the verdict is NotDivisible.  The check does not certify
-    polynomiality: some non-polynomial quotients pass it, so the caller
-    decides polynomiality first, for example with is_polynomial.
+    _mirrored_checked then mirrors the series and checks it against
+    f(1) = prod m^e, computed exactly from the factored form; on a
+    mismatch (f(1) need not even be an integer) the verdict is
+    NotDivisible.  The check does not certify polynomiality: some
+    non-polynomial quotients pass it, so the caller decides polynomiality
+    first, for example with is_polynomial.
 
     >>> expand_reciprocal(FactoredQExpression([(9, 1), (3, -1)]))
     IntPolynomial(1 + q^3 + q^6)
@@ -315,21 +336,43 @@ def expand_reciprocal(expr: FactoredQExpression) -> "IntPolynomial":
     degree = expr.net_degree
     if degree < 0:
         return NotDivisible
-    size = degree // 2 + 1
-    coeffs = [1] + [0] * (size - 1)
+    series = [1] + [0] * (degree // 2)
     for m, j in zip(*_one_minus_q_arguments(expr)):
-        if m < size:
-            coeffs[m:] = map(sub, coeffs[m:], coeffs[: size - m])
-        # c_i = a_i + c_{i-j}: a prefix sum per residue class mod j; a class
-        # starting at r >= size - j has a single entry and stays as it is
-        for r in range(min(j, size - j)):
-            coeffs[r::j] = itertools.accumulate(coeffs[r::j])
-    full = coeffs + coeffs[: degree + 1 - size][::-1]
+        _mul_one_minus_qm_series(series, m)
+        _div_one_minus_qk_series(series, j)
     top = prod(m**e for m, e in expr.factors if e > 0)
     bottom = prod(m**-e for m, e in expr.factors if e < 0)
-    if sum(full) * bottom != top:
-        return NotDivisible
-    return IntPolynomial(full)
+    return _mirrored_checked(series, degree, top, bottom)
+
+
+def expand_quotient_row(n: int, k: int, exprs: "dict[int, FactoredQExpression]"):
+    """Yield (l, expansion) for each l in exprs, in descending l.
+
+    exprs maps l, 1 <= l < k, to the quotient F_l = [l]![n-l]!/([k]![n-k]!),
+    as from_quotient_spec builds it, each already known to be a
+    polynomial.  Since F_l = F_(l+1) (1-q^(n-l))/(1-q^(l+1)) and F_k = 1,
+    one power series mod q^N, with N = D//2 + 1 for the largest degree D
+    among them, stepped down from l = k-1 to the smallest l, holds the
+    lower half of every F_l as a prefix.  The exact f(1) = top/bottom is
+    carried along, and each F_l is mirrored and checked by
+    _mirrored_checked, as in expand_reciprocal.
+
+    >>> exprs = {l: from_quotient_spec(QuotientSpec(11, 3, l)) for l in (1, 2)}
+    >>> for l, p in expand_quotient_row(11, 3, exprs):
+    ...     print(l, p)
+    2 1 + q^3 + q^6
+    1 1 + q^2 + q^3 + q^4 + q^5 + 2q^6 + q^7 + 2q^8 + q^9 + q^10 + q^11 + q^12 + q^14
+    """
+    lmin = min(exprs)
+    series = [1] + [0] * (max(e.net_degree for e in exprs.values()) // 2)
+    top = bottom = 1
+    for l in range(k - 1, lmin - 1, -1):
+        _mul_one_minus_qm_series(series, n - l)
+        _div_one_minus_qk_series(series, l + 1)
+        top *= n - l
+        bottom *= l + 1
+        if l in exprs:
+            yield l, _mirrored_checked(series, exprs[l].net_degree, top, bottom)
 
 
 def expand_via_cyclotomics(

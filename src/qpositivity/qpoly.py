@@ -11,6 +11,8 @@ The kernels keep their inner loops in C without leaving Python ints:
 multiplying or dividing by (1 - q^k) is one slice subtraction or one
 prefix sum per residue class, and poly_mul adds one shifted row per
 nonzero term of its sparser operand, each as a map over a list slice.
+The same two (1 - q^k) steps also exist in place on a power series
+truncated to its list length, for expansions that need only a prefix.
 
 Division helpers return the ``NotDivisible`` singleton instead of raising:
 a non-polynomial quotient is an expected, reportable outcome, not an error.
@@ -270,6 +272,24 @@ def _mul_one_minus_qm_list(coeffs: list[int], m: int) -> list[int]:
     out = coeffs + [0] * m
     out[m:] = map(sub, out[m:], coeffs)
     return out
+
+
+def _mul_one_minus_qm_series(coeffs: list[int], m: int) -> None:
+    # In place: the power series coeffs times (1 - q^m), truncated to
+    # len(coeffs) terms; an m at or past the truncation acts as 1.
+    size = len(coeffs)
+    if m < size:
+        coeffs[m:] = map(sub, coeffs[m:], coeffs[: size - m])
+
+
+def _div_one_minus_qk_series(coeffs: list[int], k: int) -> None:
+    # In place: the power series coeffs over (1 - q^k), truncated to
+    # len(coeffs) terms.  c_i = a_i + c_{i-k} is a prefix sum per residue
+    # class mod k; a class starting at r >= len - k has a single entry and
+    # stays as it is.
+    size = len(coeffs)
+    for r in range(min(k, size - k)):
+        coeffs[r::k] = itertools.accumulate(coeffs[r::k])
 
 
 def div_one_minus_qk(a: IntPolynomial, k: int) -> "IntPolynomial | _NotDivisibleType":

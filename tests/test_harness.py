@@ -30,11 +30,17 @@ from qpositivity.harness import (
     verify_fake_gaussian,
     verify_quotient,
 )
-from qpositivity.harness import _conjecture1_unit, _polynomial_ls, _sample_spec
+from qpositivity.harness import (
+    _conjecture1_unit,
+    _polynomial_ls,
+    _polynomial_verdict,
+    _sample_spec,
+)
 from qpositivity.qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
     expand,
+    expand_quotient_row,
     expand_reciprocal,
     from_factorials,
     from_quotient_spec,
@@ -179,6 +185,57 @@ def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     for v in violations:
         assert v.note == "divisor profile says polynomial, expansion refused"
         assert not is_polynomial(from_quotient_spec(v.spec))
+
+
+def test_violations_stay_in_ascending_l_within_each_k(monkeypatch):
+    # A divisor table that wrongly calls (34, 15, 2) and (34, 15, 13)
+    # polynomials: 2 sits below the row's real polynomial l = 3, 4 and 13
+    # above them.  The row chain walks l downward, yet violations must come
+    # back in the order of the per-triple loop, ascending l within each k.
+    table = _polynomial_ls(34)
+    table[2] = table[2] | table[15]
+    table[13] = table[13] | table[15]
+    monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
+
+    expected = []
+    for k in range(2, 18):
+        for l in range(1, k):
+            if table[k] <= table[l]:
+                spec = QuotientSpec(34, k, l)
+                expr = from_quotient_spec(spec)
+                p = expand_reciprocal(expr) if is_polynomial(expr) else NotDivisible
+                r = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
+                if r.verdict == "VIOLATION":
+                    expected.append(spec)
+    _, _, _, violations = _conjecture1_unit(34)
+    got = [v.spec for v in violations]
+    assert got == expected
+    assert got == sorted(got, key=lambda s: (s.k, s.l))
+    assert [s.l for s in got if s.k == 15] == [2, 13]
+
+
+@pytest.mark.parametrize("ns", [range(2, 61), [150]], ids=["n<=60", "n=150"])
+def test_row_chain_matches_expand_reciprocal(ns):
+    # every polynomial triple of the sweep, as _conjecture1_unit expands it
+    expansions = {}
+    for n in ns:
+        table = _polynomial_ls(n)
+        for k in range(2, n // 2 + 1):
+            ls = [l for l in range(1, k) if table[k] <= table[l]]
+            if not ls:
+                continue
+            exprs = {l: from_quotient_spec(QuotientSpec(n, k, l)) for l in ls}
+            row = list(expand_quotient_row(n, k, exprs))
+            # one yield per polynomial l, walking l downward
+            assert [l for l, _ in row] == ls[::-1]
+            for l, p in row:
+                assert p == expand_reciprocal(exprs[l]), (n, k, l)
+                expansions[QuotientSpec(n, k, l)] = p
+    if 150 in ns:
+        # the widest case of the n <= 150 sweep
+        widest = expansions[QuotientSpec(150, 73, 1)]
+        assert widest.degree == 5472
+        assert max(c.bit_length() for c in widest.coeffs) == 130
 
 
 def test_route_disagreement_is_a_violation(monkeypatch):

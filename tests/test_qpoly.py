@@ -244,6 +244,49 @@ class TestDivOneMinusQk:
         assert div_one_minus_qk(poly_mul(a, one_minus_q(k)), k) == a
 
 
+def _truncated(coeffs, size):
+    return (list(coeffs) + [0] * size)[:size]
+
+
+@st.composite
+def size_and_step(draw):
+    """A truncation length and a factor argument at, near or away from it."""
+    size = draw(st.integers(0, 32))
+    near = st.integers(-2, 2).map(lambda d: size + d)
+    step = draw(st.one_of(near, st.integers(1, 40)).filter(lambda j: j >= 1))
+    return size, step
+
+
+class TestTruncatedSeriesKernels:
+    # the in-place kernels behind expand_reciprocal and the Conjecture 1
+    # row chain, against the untruncated list kernels cut to the same length
+
+    @given(st.lists(mul_coeffs, max_size=30), size_and_step())
+    @example([BIG, -1, 0, 1, -(BIG << 10)], (4, 4))
+    @example([1, 1, 1], (3, 2))
+    @example([], (0, 1))
+    def test_mul_matches_untruncated(self, a, size_step):
+        size, m = size_step
+        series = _truncated(a, size)
+        qpoly._mul_one_minus_qm_series(series, m)
+        assert series == _truncated(qpoly._mul_one_minus_qm_list(a, m), size)
+
+    @given(st.lists(mul_coeffs, max_size=30), size_and_step())
+    @example([BIG, -1, 0, 1, -(BIG << 10)], (6, 6))
+    @example([1, -1, 0, 1], (5, 4))
+    @example([], (0, 1))
+    def test_div_matches_untruncated(self, b, size_step):
+        size, k = size_step
+        # a is divisible by (1 - q^k), so the list kernel's exact quotient
+        # is the series quotient
+        a = qpoly._mul_one_minus_qm_list(b, k)
+        exact = qpoly._div_one_minus_qk_list(a, k)
+        assert exact == b
+        series = _truncated(a, size)
+        qpoly._div_one_minus_qk_series(series, k)
+        assert series == _truncated(exact, size)
+
+
 def test_divisors_match_trial_division():
     for n in range(1, 501):
         got = qpoly._divisors(n)
