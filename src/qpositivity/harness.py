@@ -110,7 +110,10 @@ class CheckResult:
             properties=_properties_from_dict(d["properties"]),
             elapsed=d.get("elapsed", 0.0),
             note=d.get("note"),
-            expansion=IntPolynomial(d["expansion"]) if d.get("expansion") else None,
+            expansion=(
+                IntPolynomial([_restored_int(c) for c in d["expansion"]])
+                if d.get("expansion") else None
+            ),
         )
 
 
@@ -166,13 +169,20 @@ def _spec_to_dict(spec) -> "dict | None":
     raise TypeError(f"unknown spec {spec!r}")
 
 
+def _restored_int(x) -> int:
+    """x, if it is an int; a restored checkpoint carries no other number."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _spec_from_dict(d: "dict | None"):
     if d is None:
         return None
     if d["type"] == "quotient":
-        return QuotientSpec(d["n"], d["k"], d["l"])
+        return QuotientSpec(*(_restored_int(d[key]) for key in "nkl"))
     if d["type"] == "fake-gaussian":
-        return FakeGaussianSpec(d["m"], tuple(d["a"]))
+        return FakeGaussianSpec(_restored_int(d["m"]), [_restored_int(x) for x in d["a"]])
     raise ValueError(f"unknown spec type {d['type']!r}")
 
 
@@ -190,7 +200,10 @@ def _properties_from_dict(d: "dict | None") -> "PropertyRecord | None":
         return None
     d = dict(d)
     if d["first_negative"] is not None:
-        d["first_negative"] = tuple(d["first_negative"])
+        exponent, coefficient = d["first_negative"]
+        d["first_negative"] = (_restored_int(exponent), _restored_int(coefficient))
+    for key in ("order", "degree"):
+        d[key] = _restored_int(d[key])
     return PropertyRecord(**d)
 
 
@@ -332,7 +345,7 @@ def _resume_state(
         restored = dict(data["counts"])
         violations = [CheckResult.from_dict(v) for v in data["violations"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatch(f"checkpoint {path} is incomplete: {exc!r}") from exc
+        raise CheckpointMismatch(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
     if not (
         type(cursor) is int
         and 0 <= cursor <= last_cursor
@@ -372,7 +385,6 @@ def _execute_units(units, fn, workers: int):
 def _run_units(
     sweep_id: str,
     params: dict,
-    seed: "int | None",
     units_from,
     unit_fn,
     last_cursor: int,
@@ -388,7 +400,8 @@ def _run_units(
     unit_fn(unit) returns (cursor, examined, polynomial, violations); the
     results are merged in unit order, whatever the worker count, and the
     checkpoint is rewritten after every merged unit.  last_cursor is the
-    cursor after the final unit; a checkpoint past it is refused.
+    cursor after the final unit; a checkpoint past it is refused.  The
+    report's seed is params["seed"], None for a sweep that draws nothing.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -417,7 +430,7 @@ def _run_units(
     return SweepReport(
         sweep_id=sweep_id,
         params=params,
-        seed=seed,
+        seed=params.get("seed"),
         counts=counts,
         violations=violations,
         cursor=cursor,
@@ -490,7 +503,7 @@ def sweep_conjecture1(
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     return _run_units(
-        "conjecture1", {"n_max": n_max}, None, _per_n(2, n_max), _conjecture1_unit,
+        "conjecture1", {"n_max": n_max}, _per_n(2, n_max), _conjecture1_unit,
         n_max, workers, checkpoint, resume, stop_after,
     )
 
@@ -577,7 +590,7 @@ def sweep_fake_gaussian(
         ]
 
     return _run_units(
-        "fake-gaussian", params, seed, units_from, _fake_gaussian_unit,
+        "fake-gaussian", params, units_from, _fake_gaussian_unit,
         samples, workers, checkpoint, resume, stop_after,
     )
 
@@ -593,7 +606,7 @@ def crosscheck_theorems(n_max: int) -> SweepReport:
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     return _run_units(
-        "crosscheck-theorems", {"n_max": n_max}, None, _per_n(2, n_max), _crosscheck_unit,
+        "crosscheck-theorems", {"n_max": n_max}, _per_n(2, n_max), _crosscheck_unit,
         n_max,
     )
 
@@ -760,7 +773,7 @@ def reproduce_corollary10(n_max: int) -> SweepReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return _run_units(
-        "corollary10", {"n_max": n_max}, None, _per_n(1, n_max), _corollary10_unit,
+        "corollary10", {"n_max": n_max}, _per_n(1, n_max), _corollary10_unit,
         n_max,
     )
 

@@ -14,20 +14,18 @@ every division is performed exactly, and the NotDivisible verdict is
 always the outcome of an actual failed division, never of the bookkeeping
 alone.
 
-For an expression already known to be a polynomial, expand_reciprocal
-computes only the lower half of the coefficients as a truncated power
-series and mirrors it, checked against the exact value at q = 1.  The
-Conjecture 1 sweep uses the same truncated kernels and the same mirror
-check, but expands a whole (n, k) row from one chained series: stepping
-l down multiplies by one (1-q^m) factor and divides by one (1-q^j), and
-each polynomial l of the row is a prefix of that series.
+The Conjecture 1 sweep, whose quotients are already known to be
+polynomials, expands a whole (n, k) row from one chained power series:
+stepping l down multiplies by one (1-q^m) factor and divides by one
+(1-q^j), each truncated to the lower half of the largest degree.  Each
+polynomial l of the row is read off as a prefix of that series, mirrored,
+and checked against its exact value at q = 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from math import prod
 
 from .qpoly import (
     IntPolynomial,
@@ -228,27 +226,6 @@ def is_polynomial(expr: FactoredQExpression) -> bool:
     return all(e >= 0 for e in _exponent_profile(expr).values())
 
 
-def _one_minus_q_arguments(expr: FactoredQExpression) -> "tuple[list[int], list[int]]":
-    """Ascending arguments m of the (1-q^m) factors upstairs and downstairs.
-
-    Each [m] is (1-q^m)/(1-q); the surplus (1-q) factors are prepended to
-    whichever side is short, so both lists end up equally long.
-    """
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for m, e in expr.factors:
-        if e > 0:
-            numerators.extend([m] * e)
-        else:
-            denominators.extend([m] * (-e))
-    balance = len(numerators) - len(denominators)
-    if balance > 0:
-        denominators = [1] * balance + denominators
-    elif balance < 0:
-        numerators = [1] * (-balance) + numerators
-    return numerators, denominators
-
-
 def expand(expr: FactoredQExpression) -> "IntPolynomial":
     """Expanded coefficient form of expr, or NotDivisible.
 
@@ -265,7 +242,18 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     the end are attempted unconditionally, and the NotDivisible verdict is
     produced by those concrete division failures.
     """
-    numerators, denominators = _one_minus_q_arguments(expr)
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for m, e in expr.factors:
+        if e > 0:
+            numerators.extend([m] * e)
+        else:
+            denominators.extend([m] * (-e))
+    balance = len(numerators) - len(denominators)
+    if balance > 0:
+        denominators = [1] * balance + denominators
+    elif balance < 0:
+        numerators = [1] * (-balance) + numerators
     # avail[d] is the multiplicity of C_d in the running product
     avail = [0] * (max(numerators + denominators, default=0) + 1)
     pending = [(cand, _divisors(cand)) for cand in denominators]
@@ -296,55 +284,6 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     return IntPolynomial(coeffs)
 
 
-def _mirrored_checked(series: "list[int]", degree: int, top: int, bottom: int) -> "IntPolynomial":
-    """The reciprocal polynomial of the given degree whose lower half is series.
-
-    Only the first degree//2 + 1 terms of series are read, so any longer
-    truncation of the same power series gives the same result.  Its
-    coefficient sum must equal f(1) = top/bottom; on a mismatch the
-    verdict is NotDivisible.
-    """
-    lower = series[: degree // 2 + 1]
-    full = lower + lower[: degree + 1 - len(lower)][::-1]
-    if sum(full) * bottom != top:
-        return NotDivisible
-    return IntPolynomial(full)
-
-
-def expand_reciprocal(expr: FactoredQExpression) -> "IntPolynomial":
-    """Expansion of an expression already known to be a polynomial.
-
-    A polynomial value of expr is reciprocal of degree D = net_degree, so
-    its power series mod q^N, N = D//2 + 1, determines it: the upper half
-    mirrors the lower.  The series is built by interleaving multiplication
-    by (1-q^m) with series division by (1-q^j), both truncated mod q^N by
-    the in-place kernels _mul_one_minus_qm_series and
-    _div_one_minus_qk_series; arguments >= N act as 1.
-
-    _mirrored_checked then mirrors the series and checks it against
-    f(1) = prod m^e, computed exactly from the factored form; on a
-    mismatch (f(1) need not even be an integer) the verdict is
-    NotDivisible.  The check does not certify polynomiality: some
-    non-polynomial quotients pass it, so the caller decides polynomiality
-    first, for example with is_polynomial.
-
-    >>> expand_reciprocal(FactoredQExpression([(9, 1), (3, -1)]))
-    IntPolynomial(1 + q^3 + q^6)
-    >>> expand_reciprocal(FactoredQExpression([(3, 1), (2, -1)]))
-    NotDivisible
-    """
-    degree = expr.net_degree
-    if degree < 0:
-        return NotDivisible
-    series = [1] + [0] * (degree // 2)
-    for m, j in zip(*_one_minus_q_arguments(expr)):
-        _mul_one_minus_qm_series(series, m)
-        _div_one_minus_qk_series(series, j)
-    top = prod(m**e for m, e in expr.factors if e > 0)
-    bottom = prod(m**-e for m, e in expr.factors if e < 0)
-    return _mirrored_checked(series, degree, top, bottom)
-
-
 def expand_quotient_row(n: int, k: int, exprs: "dict[int, FactoredQExpression]"):
     """Yield (l, expansion) for each l in exprs, in descending l.
 
@@ -353,9 +292,17 @@ def expand_quotient_row(n: int, k: int, exprs: "dict[int, FactoredQExpression]")
     polynomial.  Since F_l = F_(l+1) (1-q^(n-l))/(1-q^(l+1)) and F_k = 1,
     one power series mod q^N, with N = D//2 + 1 for the largest degree D
     among them, stepped down from l = k-1 to the smallest l, holds the
-    lower half of every F_l as a prefix.  The exact f(1) = top/bottom is
-    carried along, and each F_l is mirrored and checked by
-    _mirrored_checked, as in expand_reciprocal.
+    lower half of every F_l as a prefix.  The steps are the in-place
+    kernels _mul_one_minus_qm_series and _div_one_minus_qk_series, which
+    truncate mod q^N; arguments >= N act as 1.
+
+    A polynomial F_l is reciprocal of degree D_l = net_degree, so its
+    upper half mirrors the first D_l//2 + 1 terms.  The mirrored sum must
+    equal f(1) = top/bottom, carried along exactly; on a mismatch (f(1)
+    need not even be an integer) F_l's verdict is NotDivisible.  The check
+    does not certify polynomiality: some non-polynomial quotients pass
+    it, so the caller decides polynomiality too, for example with
+    is_polynomial.
 
     >>> exprs = {l: from_quotient_spec(QuotientSpec(11, 3, l)) for l in (1, 2)}
     >>> for l, p in expand_quotient_row(11, 3, exprs):
@@ -372,7 +319,10 @@ def expand_quotient_row(n: int, k: int, exprs: "dict[int, FactoredQExpression]")
         top *= n - l
         bottom *= l + 1
         if l in exprs:
-            yield l, _mirrored_checked(series, exprs[l].net_degree, top, bottom)
+            degree = exprs[l].net_degree
+            lower = series[: degree // 2 + 1]
+            full = lower + lower[: degree + 1 - len(lower)][::-1]
+            yield l, IntPolynomial(full) if sum(full) * bottom == top else NotDivisible
 
 
 def expand_via_cyclotomics(

@@ -41,7 +41,6 @@ from qpositivity.qexpr import (
     QuotientSpec,
     expand,
     expand_quotient_row,
-    expand_reciprocal,
     from_factorials,
     from_quotient_spec,
     is_polynomial,
@@ -168,13 +167,21 @@ def test_polynomial_table_against_expansion_samples():
                 assert (table[k] <= table[l]) == (p is not NotDivisible)
 
 
+def test_row_chain_refuses_when_the_mirrored_sum_misses_f1():
+    # [11]/[2]: f(1) = 11/2, but the mirrored half-length series sums to 6
+    expr = from_quotient_spec(QuotientSpec(12, 2, 1))
+    assert str(expr) == "[11]/[2]"
+    assert list(expand_quotient_row(12, 2, {1: expr})) == [(1, NotDivisible)]
+
+
 def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     # [20][21]/([14][15]) is no polynomial, yet its mirrored half-length
-    # series sums to f(1) = 2, so expand_reciprocal alone does not refuse it
+    # series sums to f(1) = 2, so the row chain alone does not refuse it
     spec = QuotientSpec(34, 15, 13)
     expr = from_quotient_spec(spec)
     assert not is_polynomial(expr)
-    assert expand_reciprocal(expr) is not NotDivisible
+    [(l, p)] = expand_quotient_row(34, 15, {13: expr})
+    assert l == 13 and p is not NotDivisible
 
     # a divisor table that wrongly calls (34, 15, 13) a polynomial
     table = _polynomial_ls(34)
@@ -202,8 +209,7 @@ def test_violations_stay_in_ascending_l_within_each_k(monkeypatch):
         for l in range(1, k):
             if table[k] <= table[l]:
                 spec = QuotientSpec(34, k, l)
-                expr = from_quotient_spec(spec)
-                p = expand_reciprocal(expr) if is_polynomial(expr) else NotDivisible
+                p = expand(from_quotient_spec(spec))
                 r = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
                 if r.verdict == "VIOLATION":
                     expected.append(spec)
@@ -215,7 +221,7 @@ def test_violations_stay_in_ascending_l_within_each_k(monkeypatch):
 
 
 @pytest.mark.parametrize("ns", [range(2, 61), [150]], ids=["n<=60", "n=150"])
-def test_row_chain_matches_expand_reciprocal(ns):
+def test_row_chain_matches_expand(ns):
     # every polynomial triple of the sweep, as _conjecture1_unit expands it
     expansions = {}
     for n in ns:
@@ -229,7 +235,7 @@ def test_row_chain_matches_expand_reciprocal(ns):
             # one yield per polynomial l, walking l downward
             assert [l for l, _ in row] == ls[::-1]
             for l, p in row:
-                assert p == expand_reciprocal(exprs[l]), (n, k, l)
+                assert p == expand(exprs[l]), (n, k, l)
                 expansions[QuotientSpec(n, k, l)] = p
     if 150 in ns:
         # the widest case of the n <= 150 sweep
@@ -399,6 +405,11 @@ def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
         sweep_conjecture1(20, checkpoint=path, resume=True)
 
 
+_VIOLATION = CheckResult(
+    QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True, "VIOLATION"
+).to_dict(canonical=True)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -411,16 +422,19 @@ def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
         {"counts": {"examined": "x", "polynomial": 0, "violations": 0}, "violations": []},
         {"counts": {"examined": 9, "polynomial": -1, "violations": 0}, "violations": []},
         {"counts": {"examined": 9, "polynomial": 3, "violations": 0},
-         "violations": [CheckResult(QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True,
-                                    "VIOLATION").to_dict(canonical=True)]},
+         "violations": [_VIOLATION]},
         {"cursor": -40, "counts": {"examined": 10**6, "polynomial": 0, "violations": 0},
          "violations": []},
         {"cursor": 21, "counts": {"examined": 9, "polynomial": 3, "violations": 0},
          "violations": []},
+        {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
+         "violations": [{**_VIOLATION, "spec": {"type": "quotient", "n": "a", "k": 1, "l": 1}}]},
+        {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
+         "violations": [{**_VIOLATION, "expansion": [1, "x"]}]},
     ],
     ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
          "count-not-an-int", "negative-count", "uncounted-violation", "negative-cursor",
-         "cursor-past-the-end"],
+         "cursor-past-the-end", "spec-field-not-an-int", "expansion-not-ints"],
 )
 def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
     path = tmp_path / "c1.ckpt"

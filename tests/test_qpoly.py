@@ -258,8 +258,8 @@ def size_and_step(draw):
 
 
 class TestTruncatedSeriesKernels:
-    # the in-place kernels behind expand_reciprocal and the Conjecture 1
-    # row chain, against the untruncated list kernels cut to the same length
+    # the in-place kernels behind the Conjecture 1 row chain, against the
+    # untruncated list kernels cut to the same length
 
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
     @example([BIG, -1, 0, 1, -(BIG << 10)], (4, 4))
