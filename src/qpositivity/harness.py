@@ -36,7 +36,7 @@ from .qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
     expand,
-    expand_quotient_row,
+    expand_quotient_column,
     from_factorials,
     from_fake_gaussian,
     from_quotient_spec,
@@ -105,13 +105,13 @@ class CheckResult:
         return cls(
             spec=_spec_from_dict(d["spec"]),
             normalized_spec=_spec_from_dict(d["normalized_spec"]),
-            is_polynomial=d["is_polynomial"],
+            is_polynomial=_restored(d["is_polynomial"], bool),
             verdict=d["verdict"],
             properties=_properties_from_dict(d["properties"]),
             elapsed=d.get("elapsed", 0.0),
-            note=d.get("note"),
+            note=_restored(d.get("note"), str, type(None)),
             expansion=(
-                IntPolynomial([_restored_int(c) for c in d["expansion"]])
+                IntPolynomial([_restored(c, int) for c in d["expansion"]])
                 if d.get("expansion") else None
             ),
         )
@@ -169,10 +169,10 @@ def _spec_to_dict(spec) -> "dict | None":
     raise TypeError(f"unknown spec {spec!r}")
 
 
-def _restored_int(x) -> int:
-    """x, if it is an int; a restored checkpoint carries no other number."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
+def _restored(x, *types):
+    """x, if its type is one of types exactly (so a bool is no int)."""
+    if type(x) not in types:
+        raise ValueError(f"expected {' or '.join(t.__name__ for t in types)}, got {x!r}")
     return x
 
 
@@ -180,9 +180,9 @@ def _spec_from_dict(d: "dict | None"):
     if d is None:
         return None
     if d["type"] == "quotient":
-        return QuotientSpec(*(_restored_int(d[key]) for key in "nkl"))
+        return QuotientSpec(*(_restored(d[key], int) for key in "nkl"))
     if d["type"] == "fake-gaussian":
-        return FakeGaussianSpec(_restored_int(d["m"]), [_restored_int(x) for x in d["a"]])
+        return FakeGaussianSpec(_restored(d["m"], int), [_restored(x, int) for x in d["a"]])
     raise ValueError(f"unknown spec type {d['type']!r}")
 
 
@@ -201,9 +201,11 @@ def _properties_from_dict(d: "dict | None") -> "PropertyRecord | None":
     d = dict(d)
     if d["first_negative"] is not None:
         exponent, coefficient = d["first_negative"]
-        d["first_negative"] = (_restored_int(exponent), _restored_int(coefficient))
+        d["first_negative"] = (_restored(exponent, int), _restored(coefficient, int))
     for key in ("order", "degree"):
-        d[key] = _restored_int(d[key])
+        _restored(d[key], int)
+    for key in ("nonnegative", "reciprocal", "unimodal", "parity_unimodal"):
+        _restored(d[key], bool)
     return PropertyRecord(**d)
 
 
@@ -321,7 +323,8 @@ def _resume_state(
     """Cursor, counts, and violations restored from a checkpoint, or fresh.
 
     A restored cursor must lie in 0..last_cursor, the cursor of the
-    sweep's final unit.
+    sweep's final unit.  Each restored violation must be a VIOLATION of
+    the sweep's spec type and, for conjecture1, lie at n <= cursor.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (path and resume):
@@ -346,16 +349,24 @@ def _resume_state(
         violations = [CheckResult.from_dict(v) for v in data["violations"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
+    spec_type = {"conjecture1": QuotientSpec, "fake-gaussian": FakeGaussianSpec}.get(sweep_id)
     if not (
         type(cursor) is int
         and 0 <= cursor <= last_cursor
         and restored.keys() == counts.keys()
         and all(type(c) is int and c >= 0 for c in restored.values())
         and restored["violations"] == len(violations)
+        and all(
+            v.verdict == VERDICT_VIOLATION
+            and type(v.spec) is type(v.normalized_spec) is spec_type
+            and (spec_type is FakeGaussianSpec or v.spec.n <= cursor)
+            for v in violations
+        )
     ):
         raise CheckpointMismatch(
             f"checkpoint {path} has a cursor outside 0..{last_cursor}, malformed counts, "
-            "or a violation count that disagrees with its violations"
+            "a violation count that disagrees with its violations, or a violation "
+            f"that a {sweep_id!r} sweep cannot have recorded by its cursor"
         )
     return cursor, restored, violations
 
@@ -457,32 +468,31 @@ def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
 def _conjecture1_unit(n: int):
     """All triples 1 <= l < k <= n/2 for one n; the per-n work unit.
 
-    Each k expands its polynomial l from one chained series, which walks
-    l downward; violations are kept in ascending l within each k.
+    Each l expands its polynomial k from one chained series, which walks
+    k upward; violations are sorted into ascending k, then ascending l.
     """
-    examined = 0
+    half = n // 2
+    examined = half * (half - 1) // 2
     polynomial = 0
     violations: list[CheckResult] = []
     table = _polynomial_ls(n)
-    for k in range(2, n // 2 + 1):
-        profile_k = table[k]
-        ls = [l for l in range(1, k) if profile_k <= table[l]]
-        examined += k - 1
-        polynomial += len(ls)
-        if not ls:
+    for l in range(1, half):
+        profile_l = table[l]
+        ks = [k for k in range(l + 1, half + 1) if table[k] <= profile_l]
+        polynomial += len(ks)
+        if not ks:
             continue
-        exprs = {l: from_quotient_spec(QuotientSpec(n, k, l)) for l in ls}
-        row = []
-        for l, p in expand_quotient_row(n, k, exprs):
+        exprs = {k: from_quotient_spec(QuotientSpec(n, k, l)) for k in ks}
+        for k, p in expand_quotient_column(n, l, exprs):
             spec = QuotientSpec(n, k, l)
             # is_polynomial is the second, independent polynomiality route:
-            # the f(1) check inside expand_quotient_row does not certify it
-            if not is_polynomial(exprs[l]):
+            # the f(1) check inside expand_quotient_column does not certify it
+            if not is_polynomial(exprs[k]):
                 p = NotDivisible
             result = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
             if result.verdict == VERDICT_VIOLATION:
-                row.append(result)
-        violations.extend(reversed(row))
+                violations.append(result)
+    violations.sort(key=lambda r: (r.spec.k, r.spec.l))
     return n, examined, polynomial, violations
 
 

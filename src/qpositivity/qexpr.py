@@ -15,11 +15,11 @@ always the outcome of an actual failed division, never of the bookkeeping
 alone.
 
 The Conjecture 1 sweep, whose quotients are already known to be
-polynomials, expands a whole (n, k) row from one chained power series:
-stepping l down multiplies by one (1-q^m) factor and divides by one
+polynomials, expands a whole (n, l) column from one chained power series:
+stepping k up multiplies by one (1-q^m) factor and divides by one
 (1-q^j), each truncated to the lower half of the largest degree.  Each
-polynomial l of the row is read off as a prefix of that series, mirrored,
-and checked against its exact value at q = 1.
+polynomial k of the column is read off as a prefix of that series,
+mirrored, and checked against its exact value at q = 1.
 """
 
 from __future__ import annotations
@@ -284,45 +284,44 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     return IntPolynomial(coeffs)
 
 
-def expand_quotient_row(n: int, k: int, exprs: "dict[int, FactoredQExpression]"):
-    """Yield (l, expansion) for each l in exprs, in descending l.
+def expand_quotient_column(n: int, l: int, exprs: "dict[int, FactoredQExpression]"):
+    """Yield (k, expansion) for each k in exprs, in ascending k.
 
-    exprs maps l, 1 <= l < k, to the quotient F_l = [l]![n-l]!/([k]![n-k]!),
+    exprs maps k, l < k <= n/2, to the quotient F_k = [l]![n-l]!/([k]![n-k]!),
     as from_quotient_spec builds it, each already known to be a
-    polynomial.  Since F_l = F_(l+1) (1-q^(n-l))/(1-q^(l+1)) and F_k = 1,
+    polynomial.  Since F_(k+1) = F_k (1-q^(n-k))/(1-q^(k+1)) and F_l = 1,
     one power series mod q^N, with N = D//2 + 1 for the largest degree D
-    among them, stepped down from l = k-1 to the smallest l, holds the
-    lower half of every F_l as a prefix.  The steps are the in-place
-    kernels _mul_one_minus_qm_series and _div_one_minus_qk_series, which
-    truncate mod q^N; arguments >= N act as 1.
+    among them, stepped up from k = l to the largest k, holds the lower
+    half of every F_k as a prefix.  The steps are the in-place kernels
+    _mul_one_minus_qm_series and _div_one_minus_qk_series, which truncate
+    mod q^N; arguments >= N act as 1.
 
-    A polynomial F_l is reciprocal of degree D_l = net_degree, so its
-    upper half mirrors the first D_l//2 + 1 terms.  The mirrored sum must
+    A polynomial F_k is reciprocal of degree D_k = net_degree, so its
+    upper half mirrors the first D_k//2 + 1 terms.  The mirrored sum must
     equal f(1) = top/bottom, carried along exactly; on a mismatch (f(1)
-    need not even be an integer) F_l's verdict is NotDivisible.  The check
+    need not even be an integer) F_k's verdict is NotDivisible.  The check
     does not certify polynomiality: some non-polynomial quotients pass
     it, so the caller decides polynomiality too, for example with
     is_polynomial.
 
-    >>> exprs = {l: from_quotient_spec(QuotientSpec(11, 3, l)) for l in (1, 2)}
-    >>> for l, p in expand_quotient_row(11, 3, exprs):
-    ...     print(l, p)
-    2 1 + q^3 + q^6
-    1 1 + q^2 + q^3 + q^4 + q^5 + 2q^6 + q^7 + 2q^8 + q^9 + q^10 + q^11 + q^12 + q^14
+    >>> exprs = {k: from_quotient_spec(QuotientSpec(11, k, 1)) for k in (2, 3)}
+    >>> for k, p in expand_quotient_column(11, 1, exprs):
+    ...     print(k, p)
+    2 1 + q^2 + q^4 + q^6 + q^8
+    3 1 + q^2 + q^3 + q^4 + q^5 + 2q^6 + q^7 + 2q^8 + q^9 + q^10 + q^11 + q^12 + q^14
     """
-    lmin = min(exprs)
     series = [1] + [0] * (max(e.net_degree for e in exprs.values()) // 2)
     top = bottom = 1
-    for l in range(k - 1, lmin - 1, -1):
-        _mul_one_minus_qm_series(series, n - l)
-        _div_one_minus_qk_series(series, l + 1)
-        top *= n - l
-        bottom *= l + 1
-        if l in exprs:
-            degree = exprs[l].net_degree
+    for k in range(l, max(exprs)):
+        _mul_one_minus_qm_series(series, n - k)
+        _div_one_minus_qk_series(series, k + 1)
+        top *= n - k
+        bottom *= k + 1
+        if k + 1 in exprs:
+            degree = exprs[k + 1].net_degree
             lower = series[: degree // 2 + 1]
             full = lower + lower[: degree + 1 - len(lower)][::-1]
-            yield l, IntPolynomial(full) if sum(full) * bottom == top else NotDivisible
+            yield k + 1, IntPolynomial(full) if sum(full) * bottom == top else NotDivisible
 
 
 def expand_via_cyclotomics(

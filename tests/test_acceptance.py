@@ -90,6 +90,8 @@ def test_acceptance_3_conjecture1_sweep():
         for _ in range(1, k)
     )
     assert report.counts["examined"] == expected
+    # the polynomial triples with n <= 150, counted once by expanding each
+    assert report.counts["polynomial"] == 8261
     assert report.cursor == 150
     finish(3, "exhaustive sweep to n=150", started, 600.0)
 

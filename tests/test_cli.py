@@ -337,6 +337,36 @@ def test_check_reports_a_route_disagreement(fmt, monkeypatch, capsys):
     assert "divisor profile says polynomial, expansion refused" in out
 
 
+@pytest.mark.parametrize(
+    "cursor, field, value",
+    [(4, None, None), (6, "verdict", "OK"), (6, "is_polynomial", "yes"),
+     (6, "note", {"x": [1]})],
+    ids=["violation-past-the-cursor", "verdict-ok", "is-polynomial-str", "note-dict"],
+)
+def test_sweep_checkpoint_bad_violation_refused(tmp_path, capsys, cursor, field, value):
+    violation = {
+        "spec": {"type": "quotient", "n": 6, "k": 3, "l": 1},
+        "normalized_spec": {"type": "quotient", "n": 6, "k": 3, "l": 1},
+        "is_polynomial": True, "verdict": "VIOLATION", "properties": None,
+        "note": None, "expansion": None,
+    }
+    if field:
+        violation[field] = value
+    ckpt = tmp_path / "c1.ckpt"
+    ckpt.write_text(json.dumps({
+        "format": "qpositivity-checkpoint/1", "sweep": "conjecture1",
+        "params": {"n_max": 8}, "cursor": cursor,
+        "counts": {"examined": 3, "polynomial": 1, "violations": 1},
+        "violations": [violation],
+    }))
+    argv = ["sweep", "conjecture1", "--n-max", "8", "--checkpoint", str(ckpt), "--resume"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refusing to resume")
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
     ckpt = tmp_path / "c1.ckpt"
     args = ["sweep", "conjecture1", "--n-max", "16", "--jobs", "1", "--checkpoint", str(ckpt)]

@@ -40,7 +40,7 @@ from qpositivity.qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
     expand,
-    expand_quotient_row,
+    expand_quotient_column,
     from_factorials,
     from_quotient_spec,
     is_polynomial,
@@ -167,21 +167,21 @@ def test_polynomial_table_against_expansion_samples():
                 assert (table[k] <= table[l]) == (p is not NotDivisible)
 
 
-def test_row_chain_refuses_when_the_mirrored_sum_misses_f1():
+def test_column_chain_refuses_when_the_mirrored_sum_misses_f1():
     # [11]/[2]: f(1) = 11/2, but the mirrored half-length series sums to 6
     expr = from_quotient_spec(QuotientSpec(12, 2, 1))
     assert str(expr) == "[11]/[2]"
-    assert list(expand_quotient_row(12, 2, {1: expr})) == [(1, NotDivisible)]
+    assert list(expand_quotient_column(12, 1, {2: expr})) == [(2, NotDivisible)]
 
 
 def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     # [20][21]/([14][15]) is no polynomial, yet its mirrored half-length
-    # series sums to f(1) = 2, so the row chain alone does not refuse it
+    # series sums to f(1) = 2, so the column chain alone does not refuse it
     spec = QuotientSpec(34, 15, 13)
     expr = from_quotient_spec(spec)
     assert not is_polynomial(expr)
-    [(l, p)] = expand_quotient_row(34, 15, {13: expr})
-    assert l == 13 and p is not NotDivisible
+    [(k, p)] = expand_quotient_column(34, 13, {15: expr})
+    assert k == 15 and p is not NotDivisible
 
     # a divisor table that wrongly calls (34, 15, 13) a polynomial
     table = _polynomial_ls(34)
@@ -194,25 +194,32 @@ def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
         assert not is_polynomial(from_quotient_spec(v.spec))
 
 
+def _unit_violations_one_by_one(n, table):
+    """The violations of _conjecture1_unit(n) under table, triple by triple
+    in (k, l) order, each expanded on its own by expand."""
+    expected = []
+    for k in range(2, n // 2 + 1):
+        for l in range(1, k):
+            if table[k] <= table[l]:
+                spec = QuotientSpec(n, k, l)
+                p = expand(from_quotient_spec(spec))
+                r = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
+                if r.verdict == "VIOLATION":
+                    expected.append(spec)
+    return expected
+
+
 def test_violations_stay_in_ascending_l_within_each_k(monkeypatch):
     # A divisor table that wrongly calls (34, 15, 2) and (34, 15, 13)
     # polynomials: 2 sits below the row's real polynomial l = 3, 4 and 13
-    # above them.  The row chain walks l downward, yet violations must come
-    # back in the order of the per-triple loop, ascending l within each k.
+    # above them.  Violations must come back in the order of the
+    # per-triple loop, ascending l within each k.
     table = _polynomial_ls(34)
     table[2] = table[2] | table[15]
     table[13] = table[13] | table[15]
     monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
 
-    expected = []
-    for k in range(2, 18):
-        for l in range(1, k):
-            if table[k] <= table[l]:
-                spec = QuotientSpec(34, k, l)
-                p = expand(from_quotient_spec(spec))
-                r = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
-                if r.verdict == "VIOLATION":
-                    expected.append(spec)
+    expected = _unit_violations_one_by_one(34, table)
     _, _, _, violations = _conjecture1_unit(34)
     got = [v.spec for v in violations]
     assert got == expected
@@ -220,22 +227,40 @@ def test_violations_stay_in_ascending_l_within_each_k(monkeypatch):
     assert [s.l for s in got if s.k == 15] == [2, 13]
 
 
+def test_violations_come_in_k_order_not_column_order(monkeypatch):
+    # A divisor table that wrongly calls (34, 14, 13) and (34, 15, 2)
+    # polynomials (and with the latter, a few more l = 2 triples).  The
+    # column chains run l = 2 before l = 13, so they find (15, 2) first;
+    # the report lists (14, 13) first, as the per-triple loop over k, then
+    # l, would.
+    table = _polynomial_ls(34)
+    table[13] = table[13] | table[14]
+    table[2] = table[2] | table[15]
+    monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
+
+    expected = _unit_violations_one_by_one(34, table)
+    _, _, _, violations = _conjecture1_unit(34)
+    got = [v.spec for v in violations]
+    assert got == expected
+    assert [(s.k, s.l) for s in got if (s.k, s.l) in {(14, 13), (15, 2)}] == [(14, 13), (15, 2)]
+
+
 @pytest.mark.parametrize("ns", [range(2, 61), [150]], ids=["n<=60", "n=150"])
-def test_row_chain_matches_expand(ns):
+def test_column_chain_matches_expand(ns):
     # every polynomial triple of the sweep, as _conjecture1_unit expands it
     expansions = {}
     for n in ns:
         table = _polynomial_ls(n)
-        for k in range(2, n // 2 + 1):
-            ls = [l for l in range(1, k) if table[k] <= table[l]]
-            if not ls:
+        for l in range(1, n // 2):
+            ks = [k for k in range(l + 1, n // 2 + 1) if table[k] <= table[l]]
+            if not ks:
                 continue
-            exprs = {l: from_quotient_spec(QuotientSpec(n, k, l)) for l in ls}
-            row = list(expand_quotient_row(n, k, exprs))
-            # one yield per polynomial l, walking l downward
-            assert [l for l, _ in row] == ls[::-1]
-            for l, p in row:
-                assert p == expand(exprs[l]), (n, k, l)
+            exprs = {k: from_quotient_spec(QuotientSpec(n, k, l)) for k in ks}
+            column = list(expand_quotient_column(n, l, exprs))
+            # one yield per polynomial k, walking k upward
+            assert [k for k, _ in column] == ks
+            for k, p in column:
+                assert p == expand(exprs[k]), (n, k, l)
                 expansions[QuotientSpec(n, k, l)] = p
     if 150 in ns:
         # the widest case of the n <= 150 sweep
@@ -409,6 +434,30 @@ _VIOLATION = CheckResult(
     QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True, "VIOLATION"
 ).to_dict(canonical=True)
 
+_PROPERTIES = {"nonnegative": False, "first_negative": [1, -1], "reciprocal": True,
+               "unimodal": False, "parity_unimodal": False, "order": 0, "degree": 2}
+
+_STANTON_VIOLATION = verify_fake_gaussian(
+    FakeGaussianSpec(1, STANTON_SEQUENCE)
+).to_dict(canonical=True)
+
+#: (id, field, value): a restored violation's field that a checkpoint of
+#: the conjecture1 sweep cannot have written.
+_BAD_VIOLATION_FIELDS = [
+    ("verdict-ok", "verdict", "OK"),
+    ("verdict-nonnegative", "verdict", "polynomial-nonnegative"),
+    ("is-polynomial-str", "is_polynomial", "yes"),
+    ("is-polynomial-int", "is_polynomial", 1),
+    ("note-dict", "note", {"x": [1]}),
+    ("note-int", "note", 7),
+    ("nonnegative-str", "properties", {**_PROPERTIES, "nonnegative": "no"}),
+    ("reciprocal-int", "properties", {**_PROPERTIES, "reciprocal": 1}),
+    ("unimodal-null", "properties", {**_PROPERTIES, "unimodal": None}),
+    ("parity-unimodal-str", "properties", {**_PROPERTIES, "parity_unimodal": "false"}),
+    ("fake-gaussian-spec", "spec", _STANTON_VIOLATION["spec"]),
+    ("fake-gaussian-normalized-spec", "normalized_spec", _STANTON_VIOLATION["spec"]),
+]
+
 
 @pytest.mark.parametrize(
     "payload",
@@ -431,10 +480,16 @@ _VIOLATION = CheckResult(
          "violations": [{**_VIOLATION, "spec": {"type": "quotient", "n": "a", "k": 1, "l": 1}}]},
         {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
          "violations": [{**_VIOLATION, "expansion": [1, "x"]}]},
+        {"cursor": 4, "counts": {"examined": 9, "polynomial": 3, "violations": 1},
+         "violations": [_VIOLATION]},
+        *({"counts": {"examined": 9, "polynomial": 3, "violations": 1},
+           "violations": [{**_VIOLATION, field: value}]}
+          for _, field, value in _BAD_VIOLATION_FIELDS),
     ],
     ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
          "count-not-an-int", "negative-count", "uncounted-violation", "negative-cursor",
-         "cursor-past-the-end", "spec-field-not-an-int", "expansion-not-ints"],
+         "cursor-past-the-end", "spec-field-not-an-int", "expansion-not-ints",
+         "violation-past-the-cursor", *(name for name, _, _ in _BAD_VIOLATION_FIELDS)],
 )
 def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
     path = tmp_path / "c1.ckpt"
@@ -444,6 +499,38 @@ def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointMismatch):
         sweep_conjecture1(20, checkpoint=str(path), resume=True)
+
+
+def _write_one_violation_checkpoint(path, sweep, params, cursor, violation):
+    path.write_text(json.dumps({
+        "format": CHECKPOINT_FORMAT, "sweep": sweep, "params": params, "cursor": cursor,
+        "counts": {"examined": 9, "polynomial": 3, "violations": 1},
+        "violations": [violation],
+    }))
+
+
+_FG_PARAMS = {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1}
+
+
+def test_checkpoint_restores_well_formed_violations(tmp_path):
+    path = tmp_path / "c1.ckpt"
+    violation = {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}
+    _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, violation)
+    report = sweep_conjecture1(8, checkpoint=str(path), resume=True)
+    assert [v.to_dict(canonical=True) for v in report.violations] == [violation]
+
+    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, _STANTON_VIOLATION)
+    report = sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
+    assert report.violations[0].to_dict(canonical=True) == _STANTON_VIOLATION
+
+
+@pytest.mark.parametrize("field", ["spec", "normalized_spec"])
+def test_fake_gaussian_checkpoint_quotient_spec_refused(tmp_path, field):
+    path = tmp_path / "fg.ckpt"
+    violation = {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}
+    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, violation)
+    with pytest.raises(CheckpointMismatch):
+        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
 
 def test_fake_gaussian_checkpoint_cursor_past_the_samples_refused(tmp_path):
