@@ -100,22 +100,6 @@ class CheckResult:
             d["elapsed"] = self.elapsed
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckResult":
-        return cls(
-            spec=_spec_from_dict(d["spec"]),
-            normalized_spec=_spec_from_dict(d["normalized_spec"]),
-            is_polynomial=_restored(d["is_polynomial"], bool),
-            verdict=d["verdict"],
-            properties=_properties_from_dict(d["properties"]),
-            elapsed=d.get("elapsed", 0.0),
-            note=_restored(d.get("note"), str, type(None)),
-            expansion=(
-                IntPolynomial([_restored(c, int) for c in d["expansion"]])
-                if d.get("expansion") else None
-            ),
-        )
-
 
 @dataclasses.dataclass
 class SweepReport:
@@ -169,23 +153,6 @@ def _spec_to_dict(spec) -> "dict | None":
     raise TypeError(f"unknown spec {spec!r}")
 
 
-def _restored(x, *types):
-    """x, if its type is one of types exactly (so a bool is no int)."""
-    if type(x) not in types:
-        raise ValueError(f"expected {' or '.join(t.__name__ for t in types)}, got {x!r}")
-    return x
-
-
-def _spec_from_dict(d: "dict | None"):
-    if d is None:
-        return None
-    if d["type"] == "quotient":
-        return QuotientSpec(*(_restored(d[key], int) for key in "nkl"))
-    if d["type"] == "fake-gaussian":
-        return FakeGaussianSpec(_restored(d["m"], int), [_restored(x, int) for x in d["a"]])
-    raise ValueError(f"unknown spec type {d['type']!r}")
-
-
 def _properties_to_dict(props: "PropertyRecord | None") -> "dict | None":
     if props is None:
         return None
@@ -193,20 +160,6 @@ def _properties_to_dict(props: "PropertyRecord | None") -> "dict | None":
     if d["first_negative"] is not None:
         d["first_negative"] = list(d["first_negative"])
     return d
-
-
-def _properties_from_dict(d: "dict | None") -> "PropertyRecord | None":
-    if d is None:
-        return None
-    d = dict(d)
-    if d["first_negative"] is not None:
-        exponent, coefficient = d["first_negative"]
-        d["first_negative"] = (_restored(exponent, int), _restored(coefficient, int))
-    for key in ("order", "degree"):
-        _restored(d[key], int)
-    for key in ("nonnegative", "reciprocal", "unimodal", "parity_unimodal"):
-        _restored(d[key], bool)
-    return PropertyRecord(**d)
 
 
 def normalize_quotient_spec(spec: QuotientSpec) -> QuotientSpec:
@@ -311,20 +264,25 @@ def _load_checkpoint(path: str) -> "dict | None":
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is unreadable: {exc}") from exc
-    return data
 
 
 def _resume_state(
-    path: "str | None", resume: bool, sweep_id: str, params: dict, last_cursor: int
+    path: "str | None", resume: bool, sweep_id: str, params: dict, last_cursor: int,
+    units_from, unit_fn, unit_of,
 ):
     """Cursor, counts, and violations restored from a checkpoint, or fresh.
 
     A restored cursor must lie in 0..last_cursor, the cursor of the
-    sweep's final unit.  Each restored violation must be a VIOLATION of
-    the sweep's spec type and, for conjecture1, lie at n <= cursor.
+    sweep's final unit, and the counts must be nonnegative ints that agree
+    with the number of stored violations.  A stored violation is
+    re-derived, not trusted: unit_of(violation) names the unit that
+    recorded it, which must be one the cursor has passed.  Those units run
+    again, in unit order, and their violations must equal the stored list
+    element for element as canonical JSON; the re-run results are the
+    violations restored.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (path and resume):
@@ -346,27 +304,33 @@ def _resume_state(
     try:
         cursor = data["cursor"]
         restored = dict(data["counts"])
-        violations = [CheckResult.from_dict(v) for v in data["violations"]]
+        stored = list(data["violations"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
-    spec_type = {"conjecture1": QuotientSpec, "fake-gaussian": FakeGaussianSpec}.get(sweep_id)
     if not (
         type(cursor) is int
         and 0 <= cursor <= last_cursor
         and restored.keys() == counts.keys()
         and all(type(c) is int and c >= 0 for c in restored.values())
-        and restored["violations"] == len(violations)
-        and all(
-            v.verdict == VERDICT_VIOLATION
-            and type(v.spec) is type(v.normalized_spec) is spec_type
-            and (spec_type is FakeGaussianSpec or v.spec.n <= cursor)
-            for v in violations
-        )
+        and restored["violations"] == len(stored)
     ):
         raise CheckpointMismatch(
             f"checkpoint {path} has a cursor outside 0..{last_cursor}, malformed counts, "
-            "a violation count that disagrees with its violations, or a violation "
-            f"that a {sweep_id!r} sweep cannot have recorded by its cursor"
+            "or a violation count that disagrees with its violations"
+        )
+    pending = set(units_from(cursor))
+    passed = [unit for unit in units_from(0) if unit not in pending]
+    try:
+        named = {unit_of(v) for v in stored}
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointMismatch(f"checkpoint {path} holds a malformed violation: {exc!r}") from exc
+    violations = [v for unit in passed if unit in named for v in unit_fn(unit)[3]]
+    if not named <= set(passed) or [
+        canonical_json(v.to_dict(canonical=True)) for v in violations
+    ] != [canonical_json(v) for v in stored]:
+        raise CheckpointMismatch(
+            f"checkpoint {path} holds violations that this {sweep_id!r} sweep does not "
+            "report for the units before its cursor"
         )
     return cursor, restored, violations
 
@@ -403,6 +367,7 @@ def _run_units(
     checkpoint: "str | None" = None,
     resume: bool = False,
     stop_after: "int | None" = None,
+    unit_of=None,
 ) -> SweepReport:
     """The one sweep loop behind every sweep and table reproduction.
 
@@ -412,6 +377,10 @@ def _run_units(
     results are merged in unit order, whatever the worker count, and the
     checkpoint is rewritten after every merged unit.  last_cursor is the
     cursor after the final unit; a checkpoint past it is refused.  The
+    violations of a checkpoint are re-derived, never trusted: unit_of
+    names the unit that recorded each one, and those units run again and
+    must report exactly the stored violations (see _resume_state).  A
+    sweep without unit_of resumes only a checkpoint that holds none.  The
     report's seed is params["seed"], None for a sweep that draws nothing.
     """
     if workers < 1:
@@ -419,7 +388,7 @@ def _run_units(
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be nonnegative")
     cursor, counts, violations = _resume_state(
-        checkpoint, resume, sweep_id, params, last_cursor
+        checkpoint, resume, sweep_id, params, last_cursor, units_from, unit_fn, unit_of
     )
     units = units_from(cursor)
     if stop_after is not None:
@@ -515,6 +484,7 @@ def sweep_conjecture1(
     return _run_units(
         "conjecture1", {"n_max": n_max}, _per_n(2, n_max), _conjecture1_unit,
         n_max, workers, checkpoint, resume, stop_after,
+        unit_of=lambda violation: violation["spec"]["n"],
     )
 
 
@@ -592,16 +562,21 @@ def sweep_fake_gaussian(
         "seed": seed,
     }
 
+    chunk = _FAKE_GAUSSIAN_CHUNK
+
+    def unit(start):
+        return (template, seed, value_max, m_span, start, min(chunk, samples - start))
+
+    def unit_of(violation):
+        # a violation's note is "sample i"; its unit is the chunk holding i
+        return unit(int(violation["note"].removeprefix("sample ")) // chunk * chunk)
+
     def units_from(cursor):
-        chunk = _FAKE_GAUSSIAN_CHUNK
-        return [
-            (template, seed, value_max, m_span, start, min(chunk, samples - start))
-            for start in range(cursor, samples, chunk)
-        ]
+        return [unit(start) for start in range(cursor, samples, chunk)]
 
     return _run_units(
         "fake-gaussian", params, units_from, _fake_gaussian_unit,
-        samples, workers, checkpoint, resume, stop_after,
+        samples, workers, checkpoint, resume, stop_after, unit_of=unit_of,
     )
 
 

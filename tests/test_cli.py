@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qpositivity.harness
 from qpositivity.cli import main
+from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import NotDivisible
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
@@ -365,6 +366,41 @@ def test_sweep_checkpoint_bad_violation_refused(tmp_path, capsys, cursor, field,
     assert captured.out == ""
     assert captured.err.startswith("refusing to resume")
     assert "Traceback" not in captured.err
+
+
+def _assert_refused(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refusing to resume")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cursor", [0, 10])
+@pytest.mark.parametrize("note", [None, "sample 3"], ids=["note-null", "note-sample-3"])
+def test_sweep_fake_gaussian_checkpoint_undrawn_violation_refused(tmp_path, capsys, cursor, note):
+    # the Stanton m=1 violation is no sample of aa, seed 1
+    violation = qpositivity.harness.verify_fake_gaussian(
+        FakeGaussianSpec(1, qpositivity.harness.STANTON_SEQUENCE)
+    ).to_dict(canonical=True)
+    ckpt = tmp_path / "fg.ckpt"
+    ckpt.write_text(json.dumps({
+        "format": "qpositivity-checkpoint/1", "sweep": "fake-gaussian",
+        "params": {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1},
+        "cursor": cursor, "counts": {"examined": cursor, "polynomial": 0, "violations": 1},
+        "violations": [{**violation, "note": note}],
+    }))
+    argv = ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1", "--samples", "10",
+            "--checkpoint", str(ckpt), "--resume"]
+    assert run_cli(argv) == 2
+    _assert_refused(capsys)
+
+
+def test_sweep_checkpoint_too_deeply_nested_refused(tmp_path, capsys):
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_text("[" * 200000 + "]" * 200000)
+    argv = ["sweep", "conjecture1", "--n-max", "8", "--checkpoint", str(ckpt), "--resume"]
+    assert run_cli(argv) == 2
+    _assert_refused(capsys)
 
 
 def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):

@@ -512,16 +512,130 @@ def _write_one_violation_checkpoint(path, sweep, params, cursor, violation):
 _FG_PARAMS = {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1}
 
 
-def test_checkpoint_restores_well_formed_violations(tmp_path):
+def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
+    # well-formed records that no run of these sweeps reports: (6, 3, 1) is
+    # not a polynomial, and the aa template never draws the Stanton spec
     path = tmp_path / "c1.ckpt"
     violation = {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}
     _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, violation)
-    report = sweep_conjecture1(8, checkpoint=str(path), resume=True)
-    assert [v.to_dict(canonical=True) for v in report.violations] == [violation]
+    with pytest.raises(CheckpointMismatch):
+        sweep_conjecture1(8, checkpoint=str(path), resume=True)
 
     _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, _STANTON_VIOLATION)
-    report = sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
-    assert report.violations[0].to_dict(canonical=True) == _STANTON_VIOLATION
+    with pytest.raises(CheckpointMismatch):
+        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
+
+
+@pytest.mark.parametrize("cursor", [0, 10])
+@pytest.mark.parametrize("note", [None, "sample 3"], ids=["note-null", "note-sample-3"])
+def test_fake_gaussian_checkpoint_violation_not_drawn_before_the_cursor_refused(
+    tmp_path, cursor, note
+):
+    # the Stanton m=1 violation is no sample of aa, seed 1: at cursor 0 no
+    # sample has run, and at cursor 10 sample 3 ran and was clean
+    path = tmp_path / "fg.ckpt"
+    violation = {**_STANTON_VIOLATION, "note": note}
+    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, cursor, violation)
+    with pytest.raises(CheckpointMismatch):
+        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
+
+
+def _conjecture1_wrong_at_34(monkeypatch):
+    """sweep_conjecture1(40) under a divisor table that is wrong at n = 34
+    only, so that unit alone reports violations (see
+    test_violations_come_in_k_order_not_column_order)."""
+
+    def table(n):
+        t = _polynomial_ls(n)
+        if n == 34:
+            t[13] = t[13] | t[14]
+            t[2] = t[2] | t[15]
+        return t
+
+    monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", table)
+    return lambda **kw: sweep_conjecture1(40, workers=1, **kw)
+
+
+def _fake_gaussian_flaky_expand(monkeypatch):
+    """An aa sweep of 30 samples in chunks of 5 under an expander that
+    refuses some polynomials and returns 1 - q + q^2 for others: samples
+    1, 2, 6, 8 and 10 are violations, with and without a property record."""
+    real = qpositivity.harness.expand
+
+    def flaky(expr):
+        pick = len(str(expr)) % 3
+        return NotDivisible if pick == 0 else IntPolynomial([1, -1, 1]) if pick == 1 else real(expr)
+
+    monkeypatch.setattr(qpositivity.harness, "expand", flaky)
+    monkeypatch.setattr(qpositivity.harness, "_FAKE_GAUSSIAN_CHUNK", 5)
+    return lambda **kw: sweep_fake_gaussian("aa", seed=1, samples=30, m_span=30, workers=1, **kw)
+
+
+#: sweep -> (setup, stop_after): a sweep whose checkpoint after stop_after
+#: units holds genuine violations
+_GENUINE = {
+    "conjecture1": (_conjecture1_wrong_at_34, 34),
+    "fake-gaussian": (_fake_gaussian_flaky_expand, 2),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_GENUINE))
+def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep):
+    setup, stop_after = _GENUINE[sweep]
+    run = setup(monkeypatch)
+    path = str(tmp_path / "ckpt")
+    partial = run(checkpoint=path, stop_after=stop_after)
+    assert partial.violations
+    resumed = run(checkpoint=path, resume=True)
+    plain = run()
+    assert canonical_json(resumed.to_dict(canonical=True)) == canonical_json(
+        plain.to_dict(canonical=True)
+    )
+
+
+def _edit_violation(**fields):
+    return lambda payload: payload["violations"][0].update(fields)
+
+
+def _edit_property(**fields):
+    return lambda payload: payload["violations"][0]["properties"].update(fields)
+
+
+#: one field of a genuine checkpoint changed; several new values compare
+#: equal to the old ones (True == 1, -1 == -1.0), and at cursor 0 the
+#: violations come from units the cursor has not passed
+_TAMPERS = {
+    "note-null": _edit_violation(note=None),
+    "is-polynomial-1": _edit_violation(is_polynomial=1),
+    "verdict-ok": _edit_violation(verdict="OK"),
+    "expansion-entry": _edit_violation(expansion=[1, -1, 1]),
+    "property-flag-1": _edit_property(reciprocal=1),
+    "first-negative-float": _edit_property(first_negative=[1, -1.0]),
+    "cursor-0": lambda payload: payload.update(cursor=0),
+}
+
+#: conjecture1's violations here come from refused expansions, with no
+#: property record to edit
+_PROPERTY_TAMPERS = ("property-flag-1", "first-negative-float")
+
+
+@pytest.mark.parametrize(
+    "sweep, tamper",
+    [(sweep, tamper) for sweep in sorted(_GENUINE) for tamper in _TAMPERS
+     if sweep == "fake-gaussian" or tamper not in _PROPERTY_TAMPERS],
+)
+def test_checkpoint_with_a_tampered_genuine_violation_refused(
+    tmp_path, monkeypatch, sweep, tamper
+):
+    setup, stop_after = _GENUINE[sweep]
+    run = setup(monkeypatch)
+    path = tmp_path / "ckpt"
+    run(checkpoint=str(path), stop_after=stop_after)
+    payload = json.loads(path.read_text())
+    _TAMPERS[tamper](payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointMismatch):
+        run(checkpoint=str(path), resume=True)
 
 
 @pytest.mark.parametrize("field", ["spec", "normalized_spec"])
@@ -770,21 +884,6 @@ def test_reproduce_corollary10():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_check_result_round_trip():
-    r = verify_quotient(QuotientSpec(11, 2, 3), properties=True, keep_expansion=True)
-    back = CheckResult.from_dict(r.to_dict())
-    assert back.spec == r.spec
-    assert back.normalized_spec == r.normalized_spec
-    assert back.verdict == r.verdict
-    assert back.properties == r.properties
-    assert back.expansion == r.expansion
-
-    stanton = verify_fake_gaussian(FakeGaussianSpec(1, STANTON_SEQUENCE))
-    again = CheckResult.from_dict(stanton.to_dict())
-    assert again.spec == stanton.spec
-    assert again.properties.first_negative == (7, -1)
 
 
 def test_canonical_forms_exclude_timing():
