@@ -20,6 +20,7 @@ import sys
 from . import __version__
 from .harness import (
     REPORT_SCHEMA,
+    VERDICT_VIOLATION,
     CheckpointMismatch,
     CheckResult,
     SweepReport,
@@ -153,9 +154,9 @@ def _print_check_text(result: CheckResult, expand_flag: bool) -> None:
         print(f"spec {result.spec}")
     if not result.is_polynomial:
         print("not a polynomial")
-    elif result.verdict == "VIOLATION" and result.properties is None:
+    elif result.verdict == VERDICT_VIOLATION and result.properties is None:
         print(f"VIOLATION; {result.note}")
-    elif result.verdict == "VIOLATION":
+    elif result.verdict == VERDICT_VIOLATION:
         exponent, coefficient = result.properties.first_negative
         print(f"VIOLATION; first negative coefficient {coefficient} at q^{exponent}")
         if expand_flag and result.expansion is not None:
@@ -187,7 +188,7 @@ def cmd_check(args, command: "list[str]") -> int:
     else:
         for result in results:
             _print_check_text(result, args.expand)
-    if any(r.verdict == "VIOLATION" for r in results):
+    if any(r.verdict == VERDICT_VIOLATION for r in results):
         return EXIT_VIOLATION
     return EXIT_OK
 

@@ -44,7 +44,7 @@ from .qexpr import (
 )
 from .qpoly import IntPolynomial, NotDivisible, poly_mul
 
-CHECKPOINT_FORMAT = "qpositivity-checkpoint/1"
+CHECKPOINT_FORMAT = "qpositivity-checkpoint/2"
 REPORT_SCHEMA = "qpositivity-report/1"
 
 VERDICT_NOT_POLYNOMIAL = "not-polynomial"
@@ -138,9 +138,7 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _spec_to_dict(spec) -> "dict | None":
-    if spec is None:
-        return None
+def _spec_to_dict(spec) -> dict:
     if isinstance(spec, QuotientSpec):
         return {"type": "quotient", "n": spec.n, "k": spec.k, "l": spec.l}
     if isinstance(spec, FakeGaussianSpec):
@@ -269,20 +267,17 @@ def _load_checkpoint(path: str) -> "dict | None":
         raise CheckpointMismatch(f"checkpoint {path} is unreadable: {exc}") from exc
 
 
-def _resume_state(
-    path: "str | None", resume: bool, sweep_id: str, params: dict, last_cursor: int,
-    units_from, unit_fn, unit_of,
-):
+def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict, units, unit_fn):
     """Cursor, counts, and violations restored from a checkpoint, or fresh.
 
-    A restored cursor must lie in 0..last_cursor, the cursor of the
-    sweep's final unit, and the counts must be nonnegative ints that agree
-    with the number of stored violations.  A stored violation is
-    re-derived, not trusted: unit_of(violation) names the unit that
-    recorded it, which must be one the cursor has passed.  Those units run
-    again, in unit order, and their violations must equal the stored list
-    element for element as canonical JSON; the re-run results are the
-    violations restored.
+    A restored cursor must be 0 or the cursor of one of the sweep's units,
+    and the counts must be nonnegative ints that agree with the number of
+    stored violations.  Each stored violation is a pair [unit cursor,
+    record], and it is re-derived, not trusted: the passed units that the
+    pairs name run again, in unit order, and their (cursor, violation)
+    pairs must equal the stored list element for element as canonical
+    JSON, which also refuses a pair naming a unit the cursor has not
+    passed.  The re-run pairs are the violations restored.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (path and resume):
@@ -309,25 +304,22 @@ def _resume_state(
         raise CheckpointMismatch(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
     if not (
         type(cursor) is int
-        and 0 <= cursor <= last_cursor
+        and (cursor == 0 or cursor in [c for c, _ in units])
         and restored.keys() == counts.keys()
         and all(type(c) is int and c >= 0 for c in restored.values())
         and restored["violations"] == len(stored)
     ):
         raise CheckpointMismatch(
-            f"checkpoint {path} has a cursor outside 0..{last_cursor}, malformed counts, "
+            f"checkpoint {path} has a cursor that ends no unit, malformed counts, "
             "or a violation count that disagrees with its violations"
         )
-    pending = set(units_from(cursor))
-    passed = [unit for unit in units_from(0) if unit not in pending]
-    try:
-        named = {unit_of(v) for v in stored}
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointMismatch(f"checkpoint {path} holds a malformed violation: {exc!r}") from exc
-    violations = [v for unit in passed if unit in named for v in unit_fn(unit)[3]]
-    if not named <= set(passed) or [
-        canonical_json(v.to_dict(canonical=True)) for v in violations
-    ] != [canonical_json(v) for v in stored]:
+    named = {p[0] for p in stored if isinstance(p, list) and p and type(p[0]) is int}
+    violations = [
+        (c, v) for c, task in units if c <= cursor and c in named for v in unit_fn(task)[2]
+    ]
+    if [canonical_json([c, v.to_dict(canonical=True)]) for c, v in violations] != [
+        canonical_json(pair) for pair in stored
+    ]:
         raise CheckpointMismatch(
             f"checkpoint {path} holds violations that this {sweep_id!r} sweep does not "
             "report for the units before its cursor"
@@ -342,7 +334,7 @@ def _checkpoint_payload(sweep_id, params, cursor, counts, violations) -> dict:
         "params": params,
         "cursor": cursor,
         "counts": dict(counts),
-        "violations": [v.to_dict(canonical=True) for v in violations],
+        "violations": [[c, v.to_dict(canonical=True)] for c, v in violations],
     }
 
 
@@ -360,48 +352,46 @@ def _execute_units(units, fn, workers: int):
 def _run_units(
     sweep_id: str,
     params: dict,
-    units_from,
+    units,
     unit_fn,
-    last_cursor: int,
     workers: int = 1,
     checkpoint: "str | None" = None,
     resume: bool = False,
     stop_after: "int | None" = None,
-    unit_of=None,
 ) -> SweepReport:
     """The one sweep loop behind every sweep and table reproduction.
 
-    State is restored from the checkpoint (or fresh), units_from(cursor)
-    lists the units still to do, and at most stop_after of them run.  Each
-    unit_fn(unit) returns (cursor, examined, polynomial, violations); the
-    results are merged in unit order, whatever the worker count, and the
-    checkpoint is rewritten after every merged unit.  last_cursor is the
-    cursor after the final unit; a checkpoint past it is refused.  The
-    violations of a checkpoint are re-derived, never trusted: unit_of
-    names the unit that recorded each one, and those units run again and
-    must report exactly the stored violations (see _resume_state).  A
-    sweep without unit_of resumes only a checkpoint that holds none.  The
-    report's seed is params["seed"], None for a sweep that draws nothing.
+    units is the sweep's whole ordered list of (cursor, task) pairs, with
+    cursors increasing; a unit's cursor is the sweep's cursor once it and
+    every unit before it have run.  State is restored from the checkpoint
+    (or fresh), the units past the cursor remain, and at most stop_after
+    of them run.  Each unit_fn(task) returns (examined, polynomial,
+    violations); the results are merged in unit order, whatever the worker
+    count, and the checkpoint, which stores each violation with its unit's
+    cursor, is rewritten after every merged unit.  A checkpoint's cursor
+    must end a unit, and its violations are re-derived, never trusted (see
+    _resume_state).  The report's seed is params["seed"], None for a sweep
+    that draws nothing.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be nonnegative")
     cursor, counts, violations = _resume_state(
-        checkpoint, resume, sweep_id, params, last_cursor, units_from, unit_fn, unit_of
+        checkpoint, resume, sweep_id, params, units, unit_fn
     )
-    units = units_from(cursor)
+    todo = [(c, task) for c, task in units if c > cursor]
     if stop_after is not None:
-        units = units[:stop_after]
+        todo = todo[:stop_after]
 
     started = time.perf_counter()
-    for cursor, examined, polynomial, unit_violations in _execute_units(
-        units, unit_fn, workers
-    ):
+    results = _execute_units([task for _, task in todo], unit_fn, workers)
+    # results first: zip then exhausts, and so closes, the pool's generator
+    for (examined, polynomial, unit_violations), (cursor, _) in zip(results, todo):
         counts["examined"] += examined
         counts["polynomial"] += polynomial
         counts["violations"] += len(unit_violations)
-        violations.extend(unit_violations)
+        violations.extend((cursor, v) for v in unit_violations)
         if checkpoint:
             _write_checkpoint(
                 checkpoint,
@@ -412,15 +402,10 @@ def _run_units(
         params=params,
         seed=params.get("seed"),
         counts=counts,
-        violations=violations,
+        violations=[v for _, v in violations],
         cursor=cursor,
         wall_time=time.perf_counter() - started,
     )
-
-
-def _per_n(first: int, n_max: int):
-    """units_from for per-n units: every n from first (or past the cursor) to n_max."""
-    return lambda cursor: list(range(max(cursor + 1, first), n_max + 1))
 
 
 def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
@@ -462,7 +447,7 @@ def _conjecture1_unit(n: int):
             if result.verdict == VERDICT_VIOLATION:
                 violations.append(result)
     violations.sort(key=lambda r: (r.spec.k, r.spec.l))
-    return n, examined, polynomial, violations
+    return examined, polynomial, violations
 
 
 def sweep_conjecture1(
@@ -482,9 +467,8 @@ def sweep_conjecture1(
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     return _run_units(
-        "conjecture1", {"n_max": n_max}, _per_n(2, n_max), _conjecture1_unit,
-        n_max, workers, checkpoint, resume, stop_after,
-        unit_of=lambda violation: violation["spec"]["n"],
+        "conjecture1", {"n_max": n_max}, [(n, n) for n in range(2, n_max + 1)],
+        _conjecture1_unit, workers, checkpoint, resume, stop_after,
     )
 
 
@@ -524,7 +508,7 @@ def _fake_gaussian_unit(task):
             result.note = f"sample {index}"
             result.elapsed = 0.0  # stored records must not depend on timing
             violations.append(result)
-    return start + count, examined, polynomial, violations
+    return examined, polynomial, violations
 
 
 def sweep_fake_gaussian(
@@ -563,20 +547,14 @@ def sweep_fake_gaussian(
     }
 
     chunk = _FAKE_GAUSSIAN_CHUNK
-
-    def unit(start):
-        return (template, seed, value_max, m_span, start, min(chunk, samples - start))
-
-    def unit_of(violation):
-        # a violation's note is "sample i"; its unit is the chunk holding i
-        return unit(int(violation["note"].removeprefix("sample ")) // chunk * chunk)
-
-    def units_from(cursor):
-        return [unit(start) for start in range(cursor, samples, chunk)]
-
+    units = [
+        (min(start + chunk, samples),
+         (template, seed, value_max, m_span, start, min(chunk, samples - start)))
+        for start in range(0, samples, chunk)
+    ]
     return _run_units(
-        "fake-gaussian", params, units_from, _fake_gaussian_unit,
-        samples, workers, checkpoint, resume, stop_after, unit_of=unit_of,
+        "fake-gaussian", params, units, _fake_gaussian_unit,
+        workers, checkpoint, resume, stop_after,
     )
 
 
@@ -591,8 +569,8 @@ def crosscheck_theorems(n_max: int) -> SweepReport:
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     return _run_units(
-        "crosscheck-theorems", {"n_max": n_max}, _per_n(2, n_max), _crosscheck_unit,
-        n_max,
+        "crosscheck-theorems", {"n_max": n_max}, [(n, n) for n in range(2, n_max + 1)],
+        _crosscheck_unit,
     )
 
 
@@ -618,7 +596,7 @@ def _crosscheck_unit(n: int):
                 note = "polynomial expansion has a negative coefficient"
             if note:
                 violations.append(CheckResult(spec, spec, brute, VERDICT_VIOLATION, note=note))
-    return n, examined, polynomial, violations
+    return examined, polynomial, violations
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +736,8 @@ def reproduce_corollary10(n_max: int) -> SweepReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return _run_units(
-        "corollary10", {"n_max": n_max}, _per_n(1, n_max), _corollary10_unit,
-        n_max,
+        "corollary10", {"n_max": n_max}, [(n, n) for n in range(1, n_max + 1)],
+        _corollary10_unit,
     )
 
 
@@ -789,4 +767,4 @@ def _corollary10_unit(n: int):
             CheckResult(route_spec, route_spec, polynomial, VERDICT_VIOLATION,
                         note=f"row n={n}: {note}")
         )
-    return n, 1, int(polynomial), violations
+    return 1, int(polynomial), violations

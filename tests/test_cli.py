@@ -355,10 +355,10 @@ def test_sweep_checkpoint_bad_violation_refused(tmp_path, capsys, cursor, field,
         violation[field] = value
     ckpt = tmp_path / "c1.ckpt"
     ckpt.write_text(json.dumps({
-        "format": "qpositivity-checkpoint/1", "sweep": "conjecture1",
+        "format": qpositivity.harness.CHECKPOINT_FORMAT, "sweep": "conjecture1",
         "params": {"n_max": 8}, "cursor": cursor,
         "counts": {"examined": 3, "polynomial": 1, "violations": 1},
-        "violations": [violation],
+        "violations": [[6, violation]],
     }))
     argv = ["sweep", "conjecture1", "--n-max", "8", "--checkpoint", str(ckpt), "--resume"]
     assert run_cli(argv) == 2
@@ -384,14 +384,26 @@ def test_sweep_fake_gaussian_checkpoint_undrawn_violation_refused(tmp_path, caps
     ).to_dict(canonical=True)
     ckpt = tmp_path / "fg.ckpt"
     ckpt.write_text(json.dumps({
-        "format": "qpositivity-checkpoint/1", "sweep": "fake-gaussian",
+        "format": qpositivity.harness.CHECKPOINT_FORMAT, "sweep": "fake-gaussian",
         "params": {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1},
         "cursor": cursor, "counts": {"examined": cursor, "polynomial": 0, "violations": 1},
-        "violations": [{**violation, "note": note}],
+        "violations": [[10, {**violation, "note": note}]],
     }))
     argv = ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1", "--samples", "10",
             "--checkpoint", str(ckpt), "--resume"]
     assert run_cli(argv) == 2
+    _assert_refused(capsys)
+
+
+def test_sweep_checkpoint_old_format_refused(tmp_path, capsys):
+    # format /1 stored violations without their units
+    ckpt = tmp_path / "c1.ckpt"
+    args = ["sweep", "conjecture1", "--n-max", "16", "--jobs", "1", "--checkpoint", str(ckpt)]
+    assert run_cli(args + ["--stop-after", "2"]) == 0
+    payload = json.loads(ckpt.read_text())
+    ckpt.write_text(json.dumps({**payload, "format": "qpositivity-checkpoint/1"}))
+    capsys.readouterr()
+    assert run_cli(args + ["--resume"]) == 2
     _assert_refused(capsys)
 
 

@@ -187,7 +187,7 @@ def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     table = _polynomial_ls(34)
     table[13] = table[13] | table[15]
     monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
-    _, _, _, violations = _conjecture1_unit(34)
+    _, _, violations = _conjecture1_unit(34)
     assert spec in [v.spec for v in violations]
     for v in violations:
         assert v.note == "divisor profile says polynomial, expansion refused"
@@ -220,7 +220,7 @@ def test_violations_stay_in_ascending_l_within_each_k(monkeypatch):
     monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
 
     expected = _unit_violations_one_by_one(34, table)
-    _, _, _, violations = _conjecture1_unit(34)
+    _, _, violations = _conjecture1_unit(34)
     got = [v.spec for v in violations]
     assert got == expected
     assert got == sorted(got, key=lambda s: (s.k, s.l))
@@ -239,7 +239,7 @@ def test_violations_come_in_k_order_not_column_order(monkeypatch):
     monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
 
     expected = _unit_violations_one_by_one(34, table)
-    _, _, _, violations = _conjecture1_unit(34)
+    _, _, violations = _conjecture1_unit(34)
     got = [v.spec for v in violations]
     assert got == expected
     assert [(s.k, s.l) for s in got if (s.k, s.l) in {(14, 13), (15, 2)}] == [(14, 13), (15, 2)]
@@ -415,6 +415,13 @@ def test_sweep_checkpoint_wrong_format_refused(tmp_path):
     path.write_text(json.dumps({"format": "qpositivity-checkpoint/0"}))
     with pytest.raises(CheckpointMismatch):
         sweep_conjecture1(20, checkpoint=str(path), resume=True)
+    # format /1 stored violations without their units; it is refused even
+    # when nothing else in the checkpoint differs
+    sweep_conjecture1(20, checkpoint=str(path), stop_after=3)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "format": "qpositivity-checkpoint/1"}))
+    with pytest.raises(CheckpointMismatch):
+        sweep_conjecture1(20, checkpoint=str(path), resume=True)
 
 
 @pytest.mark.parametrize("missing", ["cursor", "counts", "violations"])
@@ -429,6 +436,8 @@ def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
     with pytest.raises(CheckpointMismatch):
         sweep_conjecture1(20, checkpoint=path, resume=True)
 
+
+_FG_PARAMS = {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1}
 
 _VIOLATION = CheckResult(
     QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True, "VIOLATION"
@@ -467,49 +476,58 @@ _BAD_VIOLATION_FIELDS = [
          "violations": []},
         {"counts": {"examined": 0}, "violations": []},
         {"counts": [1], "violations": []},
-        {"counts": {"examined": 0, "polynomial": 0, "violations": 0}, "violations": [{}]},
+        {"counts": {"examined": 0, "polynomial": 0, "violations": 0}, "violations": [[6, {}]]},
         {"counts": {"examined": "x", "polynomial": 0, "violations": 0}, "violations": []},
         {"counts": {"examined": 9, "polynomial": -1, "violations": 0}, "violations": []},
         {"counts": {"examined": 9, "polynomial": 3, "violations": 0},
-         "violations": [_VIOLATION]},
+         "violations": [[6, _VIOLATION]]},
         {"cursor": -40, "counts": {"examined": 10**6, "polynomial": 0, "violations": 0},
          "violations": []},
         {"cursor": 21, "counts": {"examined": 9, "polynomial": 3, "violations": 0},
          "violations": []},
         {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
-         "violations": [{**_VIOLATION, "spec": {"type": "quotient", "n": "a", "k": 1, "l": 1}}]},
+         "violations": [[6, {**_VIOLATION,
+                             "spec": {"type": "quotient", "n": "a", "k": 1, "l": 1}}]]},
         {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
-         "violations": [{**_VIOLATION, "expansion": [1, "x"]}]},
+         "violations": [[6, {**_VIOLATION, "expansion": [1, "x"]}]]},
         {"cursor": 4, "counts": {"examined": 9, "polynomial": 3, "violations": 1},
+         "violations": [[6, _VIOLATION]]},
+        {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
          "violations": [_VIOLATION]},
+        {"cursor": 1, "counts": {"examined": 0, "polynomial": 0, "violations": 0},
+         "violations": []},
+        {"sweep": "fake-gaussian", "params": _FG_PARAMS, "cursor": 5,
+         "counts": {"examined": 5, "polynomial": 0, "violations": 0}, "violations": []},
         *({"counts": {"examined": 9, "polynomial": 3, "violations": 1},
-           "violations": [{**_VIOLATION, field: value}]}
+           "violations": [[6, {**_VIOLATION, field: value}]]}
           for _, field, value in _BAD_VIOLATION_FIELDS),
     ],
     ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
          "count-not-an-int", "negative-count", "uncounted-violation", "negative-cursor",
          "cursor-past-the-end", "spec-field-not-an-int", "expansion-not-ints",
-         "violation-past-the-cursor", *(name for name, _, _ in _BAD_VIOLATION_FIELDS)],
+         "violation-past-the-cursor", "violation-without-its-unit",
+         "conjecture1-cursor-ends-no-unit", "fake-gaussian-cursor-ends-no-unit",
+         *(name for name, _, _ in _BAD_VIOLATION_FIELDS)],
 )
 def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
-    path = tmp_path / "c1.ckpt"
+    path = tmp_path / "ckpt"
     if isinstance(payload, dict):
         payload = {"format": CHECKPOINT_FORMAT, "sweep": "conjecture1",
                    "params": {"n_max": 20}, "cursor": 6, **payload}
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointMismatch):
-        sweep_conjecture1(20, checkpoint=str(path), resume=True)
+        if isinstance(payload, dict) and payload["sweep"] == "fake-gaussian":
+            sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
+        else:
+            sweep_conjecture1(20, checkpoint=str(path), resume=True)
 
 
-def _write_one_violation_checkpoint(path, sweep, params, cursor, violation):
+def _write_one_violation_checkpoint(path, sweep, params, cursor, unit, violation):
     path.write_text(json.dumps({
         "format": CHECKPOINT_FORMAT, "sweep": sweep, "params": params, "cursor": cursor,
         "counts": {"examined": 9, "polynomial": 3, "violations": 1},
-        "violations": [violation],
+        "violations": [[unit, violation]],
     }))
-
-
-_FG_PARAMS = {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1}
 
 
 def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
@@ -517,11 +535,13 @@ def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
     # not a polynomial, and the aa template never draws the Stanton spec
     path = tmp_path / "c1.ckpt"
     violation = {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}
-    _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, violation)
+    _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, 6, violation)
     with pytest.raises(CheckpointMismatch):
         sweep_conjecture1(8, checkpoint=str(path), resume=True)
 
-    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, _STANTON_VIOLATION)
+    _write_one_violation_checkpoint(
+        path, "fake-gaussian", _FG_PARAMS, 10, 10, _STANTON_VIOLATION
+    )
     with pytest.raises(CheckpointMismatch):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
@@ -531,11 +551,11 @@ def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
 def test_fake_gaussian_checkpoint_violation_not_drawn_before_the_cursor_refused(
     tmp_path, cursor, note
 ):
-    # the Stanton m=1 violation is no sample of aa, seed 1: at cursor 0 no
-    # sample has run, and at cursor 10 sample 3 ran and was clean
+    # the Stanton m=1 violation is no sample of aa, seed 1: at cursor 0 its
+    # unit (samples 0..9) has not run, and at cursor 10 it ran and was clean
     path = tmp_path / "fg.ckpt"
     violation = {**_STANTON_VIOLATION, "note": note}
-    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, cursor, violation)
+    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, cursor, 10, violation)
     with pytest.raises(CheckpointMismatch):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
@@ -571,21 +591,27 @@ def _fake_gaussian_flaky_expand(monkeypatch):
     return lambda **kw: sweep_fake_gaussian("aa", seed=1, samples=30, m_span=30, workers=1, **kw)
 
 
-#: sweep -> (setup, stop_after): a sweep whose checkpoint after stop_after
-#: units holds genuine violations
+#: sweep -> (setup, stop_after, units): a sweep whose checkpoint after
+#: stop_after units holds genuine violations, and the cursors of the units
+#: that recorded them
 _GENUINE = {
-    "conjecture1": (_conjecture1_wrong_at_34, 34),
-    "fake-gaussian": (_fake_gaussian_flaky_expand, 2),
+    "conjecture1": (_conjecture1_wrong_at_34, 34, {34}),
+    "fake-gaussian": (_fake_gaussian_flaky_expand, 2, {5, 10}),
 }
 
 
 @pytest.mark.parametrize("sweep", sorted(_GENUINE))
 def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep):
-    setup, stop_after = _GENUINE[sweep]
+    setup, stop_after, units = _GENUINE[sweep]
     run = setup(monkeypatch)
     path = str(tmp_path / "ckpt")
     partial = run(checkpoint=path, stop_after=stop_after)
     assert partial.violations
+    with open(path, encoding="utf-8") as fh:
+        stored = json.load(fh)["violations"]
+    # each violation is stored with the cursor of the unit that recorded it
+    assert [v for _, v in stored] == [v.to_dict(canonical=True) for v in partial.violations]
+    assert {unit for unit, _ in stored} == units
     resumed = run(checkpoint=path, resume=True)
     plain = run()
     assert canonical_json(resumed.to_dict(canonical=True)) == canonical_json(
@@ -594,16 +620,21 @@ def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep
 
 
 def _edit_violation(**fields):
-    return lambda payload: payload["violations"][0].update(fields)
+    return lambda payload: payload["violations"][0][1].update(fields)
 
 
 def _edit_property(**fields):
-    return lambda payload: payload["violations"][0]["properties"].update(fields)
+    return lambda payload: payload["violations"][0][1]["properties"].update(fields)
+
+
+def _move_unit(payload):
+    payload["violations"][0][0] += 1
 
 
 #: one field of a genuine checkpoint changed; several new values compare
-#: equal to the old ones (True == 1, -1 == -1.0), and at cursor 0 the
-#: violations come from units the cursor has not passed
+#: equal to the old ones (True == 1, -1 == -1.0), at cursor 0 the
+#: violations come from units the cursor has not passed, and a moved
+#: violation names a unit that did not record it
 _TAMPERS = {
     "note-null": _edit_violation(note=None),
     "is-polynomial-1": _edit_violation(is_polynomial=1),
@@ -612,6 +643,7 @@ _TAMPERS = {
     "property-flag-1": _edit_property(reciprocal=1),
     "first-negative-float": _edit_property(first_negative=[1, -1.0]),
     "cursor-0": lambda payload: payload.update(cursor=0),
+    "unit-moved": _move_unit,
 }
 
 #: conjecture1's violations here come from refused expansions, with no
@@ -627,7 +659,7 @@ _PROPERTY_TAMPERS = ("property-flag-1", "first-negative-float")
 def test_checkpoint_with_a_tampered_genuine_violation_refused(
     tmp_path, monkeypatch, sweep, tamper
 ):
-    setup, stop_after = _GENUINE[sweep]
+    setup, stop_after, _ = _GENUINE[sweep]
     run = setup(monkeypatch)
     path = tmp_path / "ckpt"
     run(checkpoint=str(path), stop_after=stop_after)
@@ -642,7 +674,7 @@ def test_checkpoint_with_a_tampered_genuine_violation_refused(
 def test_fake_gaussian_checkpoint_quotient_spec_refused(tmp_path, field):
     path = tmp_path / "fg.ckpt"
     violation = {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}
-    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, violation)
+    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, 10, violation)
     with pytest.raises(CheckpointMismatch):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
