@@ -15,6 +15,7 @@ process, on every run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -35,6 +36,7 @@ from .qexpr import (
     FactoredQExpression,
     FakeGaussianSpec,
     QuotientSpec,
+    column_negative_exponents,
     expand,
     expand_quotient_column,
     from_factorials,
@@ -422,8 +424,8 @@ def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
 def _conjecture1_unit(n: int):
     """All triples 1 <= l < k <= n/2 for one n; the per-n work unit.
 
-    Each l expands its polynomial k from one chained series, which walks
-    k upward; violations are sorted into ascending k, then ascending l.
+    Each l expands its polynomial k, and steps their cyclotomic profile, up
+    one column; violations are sorted into ascending k, then ascending l.
     """
     half = n // 2
     examined = half * (half - 1) // 2
@@ -436,12 +438,12 @@ def _conjecture1_unit(n: int):
         polynomial += len(ks)
         if not ks:
             continue
-        exprs = {k: from_quotient_spec(QuotientSpec(n, k, l)) for k in ks}
-        for k, p in expand_quotient_column(n, l, exprs):
+        negative = dict(enumerate(column_negative_exponents(n, l, ks[-1]), start=l + 1))
+        for k, p in expand_quotient_column(n, l, ks):
             spec = QuotientSpec(n, k, l)
-            # is_polynomial is the second, independent polynomiality route:
-            # the f(1) check inside expand_quotient_column does not certify it
-            if not is_polynomial(exprs[k]):
+            # the stepped profile is the second, independent polynomiality
+            # route: the f(1) check inside expand_quotient_column does not certify it
+            if negative[k]:
                 p = NotDivisible
             result = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
             if result.verdict == VERDICT_VIOLATION:
@@ -579,6 +581,7 @@ def _crosscheck_unit(n: int):
     examined = 0
     polynomial = 0
     violations: list[CheckResult] = []
+    expand_once = functools.cache(expand)  # (n, k, l) and (n, n-k, l) build one expression
     for l, criterion, k_range in (
         (1, thm8_is_polynomial, range(1, n)),
         (2, thm9_is_polynomial, range(2, n - 1)),
@@ -586,7 +589,7 @@ def _crosscheck_unit(n: int):
         for k in k_range:
             examined += 1
             spec = QuotientSpec(n, k, l)
-            p = expand(from_quotient_spec(spec))
+            p = expand_once(from_quotient_spec(spec))
             brute = p is not NotDivisible
             polynomial += brute
             note = None

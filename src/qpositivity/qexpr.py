@@ -284,41 +284,68 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     return IntPolynomial(coeffs)
 
 
-def expand_quotient_column(n: int, l: int, exprs: "dict[int, FactoredQExpression]"):
-    """Yield (k, expansion) for each k in exprs, in ascending k.
+def quotient_degree(n: int, k: int, l: int) -> int:
+    """net_degree of [l]![n-l]!/([k]![n-k]!): D(l) - D(k) for D(x) = deg [x]![n-x]!."""
+    return (k - l) * (n - k - l)
 
-    exprs maps k, l < k <= n/2, to the quotient F_k = [l]![n-l]!/([k]![n-k]!),
-    as from_quotient_spec builds it, each already known to be a
-    polynomial.  Since F_(k+1) = F_k (1-q^(n-k))/(1-q^(k+1)) and F_l = 1,
-    one power series mod q^N, with N = D//2 + 1 for the largest degree D
-    among them, stepped up from k = l to the largest k, holds the lower
-    half of every F_k as a prefix.  The steps are the in-place kernels
+
+def column_negative_exponents(n: int, l: int, k_max: int):
+    """Yield the number of negative cyclotomic exponents of F_k, k = l+1 .. k_max.
+
+    F_(k+1) = F_k [n-k]/[k+1]: +1 on C_d for each d >= 2 dividing n-k, -1 for
+    each d dividing k+1.  F_k is a polynomial exactly when its count is 0.
+
+    >>> list(column_negative_exponents(12, 2, 6))  # F_5 = [8][9][10]/([3][4][5]) is one
+    [1, 1, 0, 2]
+    """
+    profile = [0] * (n + 1)
+    negative = 0
+    for k in range(l, k_max):
+        for d in _divisors(n - k)[1:]:
+            profile[d] += 1
+            negative -= profile[d] == 0
+        for d in _divisors(k + 1)[1:]:
+            profile[d] -= 1
+            negative += profile[d] == -1
+        yield negative
+
+
+def expand_quotient_column(n: int, l: int, ks: "list[int]"):
+    """Yield (k, expansion) for each k in ks, in ascending k.
+
+    ks lists ascending k, l < k <= n/2, whose quotient
+    F_k = [l]![n-l]!/([k]![n-k]!) is already known to be a polynomial.
+    Since F_(k+1) = F_k (1-q^(n-k))/(1-q^(k+1)) and F_l = 1, one power
+    series mod q^N, with N = D//2 + 1 for the largest degree D among them,
+    stepped up from k = l to the largest k, holds the lower half of every
+    F_k as a prefix.  The steps are the in-place kernels
     _mul_one_minus_qm_series and _div_one_minus_qk_series, which truncate
     mod q^N; arguments >= N act as 1.
 
-    A polynomial F_k is reciprocal of degree D_k = net_degree, so its
-    upper half mirrors the first D_k//2 + 1 terms.  The mirrored sum must
-    equal f(1) = top/bottom, carried along exactly; on a mismatch (f(1)
+    A polynomial F_k is reciprocal of degree D_k = quotient_degree(n, k, l),
+    so its upper half mirrors the first D_k//2 + 1 terms.  The mirrored sum
+    must equal f(1) = top/bottom, carried along exactly; on a mismatch (f(1)
     need not even be an integer) F_k's verdict is NotDivisible.  The check
     does not certify polynomiality: some non-polynomial quotients pass
     it, so the caller decides polynomiality too, for example with
-    is_polynomial.
+    column_negative_exponents.
 
-    >>> exprs = {k: from_quotient_spec(QuotientSpec(11, k, 1)) for k in (2, 3)}
-    >>> for k, p in expand_quotient_column(11, 1, exprs):
+    >>> for k, p in expand_quotient_column(11, 1, [2, 3]):
     ...     print(k, p)
     2 1 + q^2 + q^4 + q^6 + q^8
     3 1 + q^2 + q^3 + q^4 + q^5 + 2q^6 + q^7 + 2q^8 + q^9 + q^10 + q^11 + q^12 + q^14
     """
-    series = [1] + [0] * (max(e.net_degree for e in exprs.values()) // 2)
+    k_max = max(ks, default=l)
+    series = [1] + [0] * (quotient_degree(n, k_max, l) // 2)
     top = bottom = 1
-    for k in range(l, max(exprs)):
+    wanted = set(ks)
+    for k in range(l, k_max):
         _mul_one_minus_qm_series(series, n - k)
         _div_one_minus_qk_series(series, k + 1)
         top *= n - k
         bottom *= k + 1
-        if k + 1 in exprs:
-            degree = exprs[k + 1].net_degree
+        if k + 1 in wanted:
+            degree = quotient_degree(n, k + 1, l)
             lower = series[: degree // 2 + 1]
             full = lower + lower[: degree + 1 - len(lower)][::-1]
             yield k + 1, IntPolynomial(full) if sum(full) * bottom == top else NotDivisible

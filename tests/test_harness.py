@@ -39,11 +39,13 @@ from qpositivity.harness import (
 from qpositivity.qexpr import (
     FakeGaussianSpec,
     QuotientSpec,
+    column_negative_exponents,
     expand,
     expand_quotient_column,
     from_factorials,
     from_quotient_spec,
     is_polynomial,
+    quotient_degree,
 )
 from qpositivity.qpoly import IntPolynomial, NotDivisible
 
@@ -169,19 +171,25 @@ def test_polynomial_table_against_expansion_samples():
 
 def test_column_chain_refuses_when_the_mirrored_sum_misses_f1():
     # [11]/[2]: f(1) = 11/2, but the mirrored half-length series sums to 6
-    expr = from_quotient_spec(QuotientSpec(12, 2, 1))
-    assert str(expr) == "[11]/[2]"
-    assert list(expand_quotient_column(12, 1, {2: expr})) == [(2, NotDivisible)]
+    assert str(from_quotient_spec(QuotientSpec(12, 2, 1))) == "[11]/[2]"
+    assert list(expand_quotient_column(12, 1, [2])) == [(2, NotDivisible)]
+
+
+def test_column_chain_of_no_k_yields_nothing():
+    assert list(expand_quotient_column(12, 1, [])) == []
+    assert list(column_negative_exponents(12, 1, 1)) == []
 
 
 def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     # [20][21]/([14][15]) is no polynomial, yet its mirrored half-length
-    # series sums to f(1) = 2, so the column chain alone does not refuse it
+    # series sums to f(1) = 2, so the column chain alone does not refuse it;
+    # the profile stepped along the column does
     spec = QuotientSpec(34, 15, 13)
-    expr = from_quotient_spec(spec)
-    assert not is_polynomial(expr)
-    [(k, p)] = expand_quotient_column(34, 13, {15: expr})
+    assert not is_polynomial(from_quotient_spec(spec))
+    [(k, p)] = expand_quotient_column(34, 13, [15])
     assert k == 15 and p is not NotDivisible
+    # F_15 has C_14 and C_15 at exponent -1
+    assert list(column_negative_exponents(34, 13, 15))[-1] == 2
 
     # a divisor table that wrongly calls (34, 15, 13) a polynomial
     table = _polynomial_ls(34)
@@ -255,18 +263,35 @@ def test_column_chain_matches_expand(ns):
             ks = [k for k in range(l + 1, n // 2 + 1) if table[k] <= table[l]]
             if not ks:
                 continue
-            exprs = {k: from_quotient_spec(QuotientSpec(n, k, l)) for k in ks}
-            column = list(expand_quotient_column(n, l, exprs))
+            column = list(expand_quotient_column(n, l, ks))
             # one yield per polynomial k, walking k upward
             assert [k for k, _ in column] == ks
             for k, p in column:
-                assert p == expand(exprs[k]), (n, k, l)
+                assert p == expand(from_quotient_spec(QuotientSpec(n, k, l))), (n, k, l)
                 expansions[QuotientSpec(n, k, l)] = p
     if 150 in ns:
         # the widest case of the n <= 150 sweep
         widest = expansions[QuotientSpec(150, 73, 1)]
         assert widest.degree == 5472
         assert max(c.bit_length() for c in widest.coeffs) == 130
+
+
+@pytest.mark.parametrize(
+    "ns, ls", [(range(2, 61), None), ([150], (1, 73))], ids=["n<=60", "n=150-l=1,73"]
+)
+def test_stepped_profile_and_degree_match_the_expression(ns, ls):
+    # the two quantities _conjecture1_unit steps down each column, against
+    # the expression from_quotient_spec builds, polynomial or not
+    seen = 0
+    for n in ns:
+        for l in ls or range(1, n // 2):
+            for k, negative in enumerate(column_negative_exponents(n, l, n // 2), start=l + 1):
+                expr = from_quotient_spec(QuotientSpec(n, k, l))
+                assert (negative == 0) == is_polynomial(expr), (n, k, l)
+                assert quotient_degree(n, k, l) == expr.net_degree, (n, k, l)
+                seen += 1
+    # every triple 1 <= l < k <= n/2 with n <= 60; k = 2..75 at l = 1, 74..75 at l = 73
+    assert seen == (8555 if ls is None else 74 + 2)
 
 
 def test_route_disagreement_is_a_violation(monkeypatch):
