@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, help="sample count (fake-gaussian)")
     sweep.add_argument("--value-max", type=int, default=10)
     sweep.add_argument("--m-span", type=int, default=200)
-    sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    sweep.add_argument("--jobs", type=int, default=cpus or 1)
     sweep.add_argument("--checkpoint", metavar="PATH",
                        help=f"checkpoint file; relative paths honor ${CHECKPOINT_DIR_ENV}")
     sweep.add_argument("--resume", action="store_true")

@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -38,11 +39,12 @@ from .qexpr import (
     QuotientSpec,
     column_negative_exponents,
     expand,
-    expand_quotient_column,
     from_factorials,
     from_fake_gaussian,
     from_quotient_spec,
     is_polynomial,
+    quotient_degree,
+    quotient_lower_halves,
 )
 from .qpoly import IntPolynomial, NotDivisible, poly_mul
 
@@ -269,17 +271,20 @@ def _load_checkpoint(path: str) -> "dict | None":
         raise CheckpointMismatch(f"checkpoint {path} is unreadable: {exc}") from exc
 
 
-def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict, units, unit_fn):
+def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict, units, unit_fn,
+                  recount):
     """Cursor, counts, and violations restored from a checkpoint, or fresh.
 
     A restored cursor must be 0 or the cursor of one of the sweep's units,
     and the counts must be nonnegative ints that agree with the number of
-    stored violations.  Each stored violation is a pair [unit cursor,
-    record], and it is re-derived, not trusted: the passed units that the
-    pairs name run again, in unit order, and their (cursor, violation)
-    pairs must equal the stored list element for element as canonical
-    JSON, which also refuses a pair naming a unit the cursor has not
-    passed.  The re-run pairs are the violations restored.
+    stored violations; given recount(task), a unit's cheap (examined,
+    polynomial), those two must also be its sums over the passed units.
+    Each stored violation is a pair [unit cursor, record], and it is
+    re-derived, not trusted: the passed units that the pairs name run
+    again, in unit order, and their (cursor, violation) pairs must equal
+    the stored list element for element as canonical JSON, which also
+    refuses a pair naming a unit the cursor has not passed.  The re-run
+    pairs are the violations restored.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (path and resume):
@@ -315,6 +320,13 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
             f"checkpoint {path} has a cursor that ends no unit, malformed counts, "
             "or a violation count that disagrees with its violations"
         )
+    if recount:
+        passed = zip((0, 0), *(recount(task) for c, task in units if c <= cursor))
+        if [restored["examined"], restored["polynomial"]] != list(map(sum, passed)):
+            raise CheckpointMismatch(
+                f"checkpoint {path} holds counts that this {sweep_id!r} sweep does not "
+                "derive for the units before its cursor"
+            )
     named = {p[0] for p in stored if isinstance(p, list) and p and type(p[0]) is int}
     violations = [
         (c, v) for c, task in units if c <= cursor and c in named for v in unit_fn(task)[2]
@@ -360,6 +372,7 @@ def _run_units(
     checkpoint: "str | None" = None,
     resume: bool = False,
     stop_after: "int | None" = None,
+    recount=None,
 ) -> SweepReport:
     """The one sweep loop behind every sweep and table reproduction.
 
@@ -371,16 +384,16 @@ def _run_units(
     violations); the results are merged in unit order, whatever the worker
     count, and the checkpoint, which stores each violation with its unit's
     cursor, is rewritten after every merged unit.  A checkpoint's cursor
-    must end a unit, and its violations are re-derived, never trusted (see
-    _resume_state).  The report's seed is params["seed"], None for a sweep
-    that draws nothing.
+    must end a unit, and its violations, and its counts given a recount,
+    are re-derived, never trusted (see _resume_state).  The report's seed
+    is params["seed"], None for a sweep that draws nothing.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be nonnegative")
     cursor, counts, violations = _resume_state(
-        checkpoint, resume, sweep_id, params, units, unit_fn
+        checkpoint, resume, sweep_id, params, units, unit_fn, recount
     )
     todo = [(c, task) for c, task in units if c > cursor]
     if stop_after is not None:
@@ -421,34 +434,43 @@ def _polynomial_ls(n: int) -> "dict[int, frozenset[int]]":
     }
 
 
+def _conjecture1_pairs(n: int):
+    """(examined, polynomial, rows) for one n, by the divisor table alone:
+    rows holds (k, ls) for each k with polynomial pairs, ls its ascending l."""
+    table = _polynomial_ls(n)
+    half = n // 2
+    rows = [(k, [l for l in range(1, k) if table[k] <= table[l]]) for k in range(2, half + 1)]
+    rows = [(k, ls) for k, ls in rows if ls]
+    return half * (half - 1) // 2, sum(len(ls) for _, ls in rows), rows
+
+
 def _conjecture1_unit(n: int):
     """All triples 1 <= l < k <= n/2 for one n; the per-n work unit.
 
-    Each l expands its polynomial k, and steps their cyclotomic profile, up
-    one column; violations are sorted into ascending k, then ascending l.
+    Lower halves come in the report's order, ascending k, then l.  Each is
+    checked as it stands, for nonnegativity, for f(1) = C(n,k)/C(n,l), and
+    by the cyclotomic profile stepped down its column, since f(1) does not
+    certify polynomiality.  Only a failing triple is mirrored (or refused)
+    and judged by _polynomial_verdict, as its full expansion would be.
     """
-    half = n // 2
-    examined = half * (half - 1) // 2
-    polynomial = 0
+    examined, polynomial, rows = _conjecture1_pairs(n)
+    column_end = {l: k for k, ls in rows for l in ls}
+    negative = {l: list(column_negative_exponents(n, l, k)) for l, k in column_end.items()}
     violations: list[CheckResult] = []
-    table = _polynomial_ls(n)
-    for l in range(1, half):
-        profile_l = table[l]
-        ks = [k for k in range(l + 1, half + 1) if table[k] <= profile_l]
-        polynomial += len(ks)
-        if not ks:
+    for k, l, lower in quotient_lower_halves(n, rows):
+        degree = quotient_degree(n, k, l)
+        # an even degree's middle coefficient is not mirrored
+        mirrored_sum = 2 * sum(lower) - (lower[-1] if degree % 2 == 0 else 0)
+        if negative[l][k - l - 1] or mirrored_sum * math.comb(n, l) != math.comb(n, k):
+            p = NotDivisible
+        elif not nonnegativity(IntPolynomial(lower))[0]:
+            p = IntPolynomial(lower + lower[: degree + 1 - len(lower)][::-1])
+        else:
             continue
-        negative = dict(enumerate(column_negative_exponents(n, l, ks[-1]), start=l + 1))
-        for k, p in expand_quotient_column(n, l, ks):
-            spec = QuotientSpec(n, k, l)
-            # the stepped profile is the second, independent polynomiality
-            # route: the f(1) check inside expand_quotient_column does not certify it
-            if negative[k]:
-                p = NotDivisible
-            result = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
-            if result.verdict == VERDICT_VIOLATION:
-                violations.append(result)
-    violations.sort(key=lambda r: (r.spec.k, r.spec.l))
+        spec = QuotientSpec(n, k, l)
+        violations.append(
+            _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
+        )
     return examined, polynomial, violations
 
 
@@ -471,6 +493,7 @@ def sweep_conjecture1(
     return _run_units(
         "conjecture1", {"n_max": n_max}, [(n, n) for n in range(2, n_max + 1)],
         _conjecture1_unit, workers, checkpoint, resume, stop_after,
+        recount=lambda n: _conjecture1_pairs(n)[:2],
     )
 
 

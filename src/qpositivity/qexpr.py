@@ -15,11 +15,11 @@ always the outcome of an actual failed division, never of the bookkeeping
 alone.
 
 The Conjecture 1 sweep, whose quotients are already known to be
-polynomials, expands a whole (n, l) column from one chained power series:
-stepping k up multiplies by one (1-q^m) factor and divides by one
-(1-q^j), each truncated to the lower half of the largest degree.  Each
-polynomial k of the column is read off as a prefix of that series,
-mirrored, and checked against its exact value at q = 1.
+polynomials, expands all of one n's from one chained power series, the
+Gaussian binomial row, stepped up k and truncated to the lower half of
+the largest degree; at each k a copy of it is stepped up l.  Each step
+multiplies by one (1-q^m) factor and divides by one (1-q^j), and each
+polynomial is read off as the lower half of a reciprocal polynomial.
 """
 
 from __future__ import annotations
@@ -310,45 +310,35 @@ def column_negative_exponents(n: int, l: int, k_max: int):
         yield negative
 
 
-def expand_quotient_column(n: int, l: int, ks: "list[int]"):
-    """Yield (k, expansion) for each k in ks, in ascending k.
+def quotient_lower_halves(n: int, rows):
+    """Yield (k, l, lower) for each pair of rows, in ascending k, then l.
 
-    ks lists ascending k, l < k <= n/2, whose quotient
-    F_k = [l]![n-l]!/([k]![n-k]!) is already known to be a polynomial.
-    Since F_(k+1) = F_k (1-q^(n-k))/(1-q^(k+1)) and F_l = 1, one power
-    series mod q^N, with N = D//2 + 1 for the largest degree D among them,
-    stepped up from k = l to the largest k, holds the lower half of every
-    F_k as a prefix.  The steps are the in-place kernels
-    _mul_one_minus_qm_series and _div_one_minus_qk_series, which truncate
-    mod q^N; arguments >= N act as 1.
+    rows lists (k, ls) by ascending k, ls the ascending l, 1 <= l < k <= n/2,
+    whose F(n,k,l) = [l]![n-l]!/([k]![n-k]!) is known to be a polynomial;
+    lower is its power series mod q^(D//2+1), D = quotient_degree(n, k, l),
+    the lower half of a reciprocal polynomial.  A row steps the Gaussian
+    binomial G(n,k) = F(n,k,0) up k by (1-q^(n-k+1))/(1-q^k), truncated for
+    the largest D; at each k a copy of it steps up l by (1-q^(l+1))/(1-q^(n-l)),
+    cut to each l's own length.  A truncated power series does not depend
+    on the path taken to it.  Nothing here checks polynomiality or f(1).
 
-    A polynomial F_k is reciprocal of degree D_k = quotient_degree(n, k, l),
-    so its upper half mirrors the first D_k//2 + 1 terms.  The mirrored sum
-    must equal f(1) = top/bottom, carried along exactly; on a mismatch (f(1)
-    need not even be an integer) F_k's verdict is NotDivisible.  The check
-    does not certify polynomiality: some non-polynomial quotients pass
-    it, so the caller decides polynomiality too, for example with
-    column_negative_exponents.
-
-    >>> for k, p in expand_quotient_column(11, 1, [2, 3]):
-    ...     print(k, p)
-    2 1 + q^2 + q^4 + q^6 + q^8
-    3 1 + q^2 + q^3 + q^4 + q^5 + 2q^6 + q^7 + 2q^8 + q^9 + q^10 + q^11 + q^12 + q^14
+    >>> list(quotient_lower_halves(11, [(3, [1, 2])]))
+    [(3, 1, [1, 0, 1, 1, 1, 1, 2, 1]), (3, 2, [1, 0, 0, 1])]
     """
-    k_max = max(ks, default=l)
-    series = [1] + [0] * (quotient_degree(n, k_max, l) // 2)
-    top = bottom = 1
-    wanted = set(ks)
-    for k in range(l, k_max):
-        _mul_one_minus_qm_series(series, n - k)
-        _div_one_minus_qk_series(series, k + 1)
-        top *= n - k
-        bottom *= k + 1
-        if k + 1 in wanted:
-            degree = quotient_degree(n, k + 1, l)
-            lower = series[: degree // 2 + 1]
-            full = lower + lower[: degree + 1 - len(lower)][::-1]
-            yield k + 1, IntPolynomial(full) if sum(full) * bottom == top else NotDivisible
+    row = [1] + [0] * max((quotient_degree(n, k, ls[0]) // 2 for k, ls in rows), default=0)
+    k_row = 0
+    for k, ls in rows:
+        for j in range(k_row + 1, k + 1):
+            _mul_one_minus_qm_series(row, n - j + 1)
+            _div_one_minus_qk_series(row, j)
+        k_row, series, l_series = k, row[:], 0
+        for l in ls:
+            del series[quotient_degree(n, k, l) // 2 + 1 :]
+            for j in range(l_series, l):
+                _mul_one_minus_qm_series(series, j + 1)
+                _div_one_minus_qk_series(series, n - j)
+            l_series = l
+            yield k, l, series[:]
 
 
 def expand_via_cyclotomics(

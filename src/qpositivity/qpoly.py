@@ -284,12 +284,16 @@ def _mul_one_minus_qm_series(coeffs: list[int], m: int) -> None:
 
 def _div_one_minus_qk_series(coeffs: list[int], k: int) -> None:
     # In place: the power series coeffs over (1 - q^k), truncated to
-    # len(coeffs) terms.  c_i = a_i + c_{i-k} is a prefix sum per residue
-    # class mod k; a class starting at r >= len - k has a single entry and
-    # stays as it is.
+    # len(coeffs) terms, by c_i = a_i + c_{i-k}, in whichever loop takes
+    # fewer passes: for k*k <= len a prefix sum per residue class mod k,
+    # otherwise a slice add per block of k terms, the last possibly partial.
     size = len(coeffs)
-    for r in range(min(k, size - k)):
-        coeffs[r::k] = itertools.accumulate(coeffs[r::k])
+    if k * k <= size:
+        for r in range(k):
+            coeffs[r::k] = itertools.accumulate(coeffs[r::k])
+    else:
+        for i in range(k, size, k):
+            coeffs[i : i + k] = map(add, coeffs[i : i + k], coeffs[i - k : i])
 
 
 def div_one_minus_qk(a: IntPolynomial, k: int) -> "IntPolynomial | _NotDivisibleType":

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpositivity.harness
-from qpositivity.cli import main
+from qpositivity.cli import build_parser, main
 from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import NotDivisible
 
@@ -407,6 +408,20 @@ def test_sweep_checkpoint_old_format_refused(tmp_path, capsys):
     _assert_refused(capsys)
 
 
+def test_sweep_checkpoint_edited_count_refused(tmp_path, capsys):
+    # n = 2 and 3 examine nothing, so a fresh run to cursor 3 counts 0
+    ckpt = tmp_path / "c1.ckpt"
+    args = ["sweep", "conjecture1", "--n-max", "5", "--jobs", "1", "--checkpoint", str(ckpt)]
+    assert run_cli(args + ["--stop-after", "2"]) == 0
+    payload = json.loads(ckpt.read_text())
+    assert payload["cursor"] == 3 and payload["counts"]["examined"] == 0
+    payload["counts"]["examined"] = 1
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(args + ["--resume"]) == 2
+    _assert_refused(capsys)
+
+
 def test_sweep_checkpoint_too_deeply_nested_refused(tmp_path, capsys):
     ckpt = tmp_path / "deep.ckpt"
     ckpt.write_text("[" * 200000 + "]" * 200000)
@@ -425,6 +440,20 @@ def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(args + ["--resume"]) == 2
     assert "refusing to resume" in capsys.readouterr().err
+
+
+def test_sweep_jobs_default_to_the_cpus_the_process_may_run_on(monkeypatch):
+    def default_jobs():
+        return build_parser().parse_args(["sweep", "conjecture1"]).jobs
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert default_jobs() == 1
+    # a platform without affinity masks counts every CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_jobs() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpositivity.harness
-from qpositivity.analysis import nonnegativity
+from qpositivity.analysis import nonnegativity, property_record
 from qpositivity.harness import (
     CHECKPOINT_FORMAT,
     REMARK25_EXPECTED,
@@ -41,11 +41,11 @@ from qpositivity.qexpr import (
     QuotientSpec,
     column_negative_exponents,
     expand,
-    expand_quotient_column,
     from_factorials,
     from_quotient_spec,
     is_polynomial,
     quotient_degree,
+    quotient_lower_halves,
 )
 from qpositivity.qpoly import IntPolynomial, NotDivisible
 
@@ -169,25 +169,55 @@ def test_polynomial_table_against_expansion_samples():
                 assert (table[k] <= table[l]) == (p is not NotDivisible)
 
 
-def test_column_chain_refuses_when_the_mirrored_sum_misses_f1():
-    # [11]/[2]: f(1) = 11/2, but the mirrored half-length series sums to 6
-    assert str(from_quotient_spec(QuotientSpec(12, 2, 1))) == "[11]/[2]"
-    assert list(expand_quotient_column(12, 1, [2])) == [(2, NotDivisible)]
+def mirror_lower_half(lower, degree):
+    """The reciprocal polynomial of the given degree whose lower half is lower."""
+    return IntPolynomial(lower + lower[degree - len(lower) :: -1])
 
 
-def test_column_chain_of_no_k_yields_nothing():
-    assert list(expand_quotient_column(12, 1, [])) == []
+def _polynomial_rows(n, table):
+    """The (k, ls) rows of n's polynomial pairs under table, ascending."""
+    rows = [(k, [l for l in range(1, k) if table[k] <= table[l]]) for k in range(2, n // 2 + 1)]
+    return [(k, ls) for k, ls in rows if ls]
+
+
+def _no_negative_exponents(n, l, k_max):
+    return iter([0] * (k_max - l))
+
+
+def test_f1_check_refuses_when_the_mirrored_sum_misses_f1(monkeypatch):
+    # [11]/[2]: f(1) = C(12,2)/C(12,1) = 11/2, but the mirrored half-length
+    # series sums to 6
+    spec = QuotientSpec(12, 2, 1)
+    assert str(from_quotient_spec(spec)) == "[11]/[2]"
+    [(k, l, lower)] = quotient_lower_halves(12, [(2, [1])])
+    assert (k, l, lower) == (2, 1, [1, 0, 1, 0, 1])
+    assert sum(mirror_lower_half(lower, quotient_degree(12, 2, 1)).coeffs) == 6
+
+    # a divisor table and a stepped profile that both wrongly call it a
+    # polynomial leave the f(1) check alone to refuse it
+    table = _polynomial_ls(12)
+    table[1] = table[1] | table[2]
+    monkeypatch.setattr(qpositivity.harness, "_polynomial_ls", lambda n: table)
+    monkeypatch.setattr(qpositivity.harness, "column_negative_exponents", _no_negative_exponents)
+    _, _, violations = _conjecture1_unit(12)
+    assert [v.spec for v in violations] == [spec]
+    assert violations[0].note == "divisor profile says polynomial, expansion refused"
+
+
+def test_row_chain_of_no_pairs_yields_nothing():
+    assert list(quotient_lower_halves(12, [])) == []
     assert list(column_negative_exponents(12, 1, 1)) == []
 
 
 def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     # [20][21]/([14][15]) is no polynomial, yet its mirrored half-length
-    # series sums to f(1) = 2, so the column chain alone does not refuse it;
-    # the profile stepped along the column does
+    # series sums to f(1) = 2, so the row chain and the f(1) check alone
+    # do not refuse it; the profile stepped along the column does
     spec = QuotientSpec(34, 15, 13)
     assert not is_polynomial(from_quotient_spec(spec))
-    [(k, p)] = expand_quotient_column(34, 13, [15])
-    assert k == 15 and p is not NotDivisible
+    [(k, l, lower)] = quotient_lower_halves(34, [(15, [13])])
+    assert (k, l) == (15, 13)
+    assert sum(mirror_lower_half(lower, quotient_degree(34, 15, 13)).coeffs) == 2
     # F_15 has C_14 and C_15 at exponent -1
     assert list(column_negative_exponents(34, 13, 15))[-1] == 2
 
@@ -200,6 +230,36 @@ def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     for v in violations:
         assert v.note == "divisor profile says polynomial, expansion refused"
         assert not is_polynomial(from_quotient_spec(v.spec))
+
+
+def test_negative_coefficient_in_a_lower_half_is_reported_as_expanded(monkeypatch):
+    # (34, 15, 3) is a polynomial of degree 192; move 5 from q^2 to q^1 of
+    # its lower half, which keeps f(1) and makes q^1 negative
+    spec = QuotientSpec(34, 15, 3)
+    degree = quotient_degree(34, 15, 3)
+    real = qpositivity.harness.quotient_lower_halves
+    forced = []
+
+    def tampered(n, rows):
+        for k, l, lower in real(n, rows):
+            if (n, k, l) == (34, 15, 3):
+                lower[2] += lower[1] + 5
+                lower[1] = -5
+                forced.append(lower)
+            yield k, l, lower
+
+    [(_, _, untouched)] = real(34, [(15, [3])])
+    monkeypatch.setattr(qpositivity.harness, "quotient_lower_halves", tampered)
+    _, _, violations = _conjecture1_unit(34)
+    [lower] = forced
+    assert sum(lower) == sum(untouched) and lower[1] == -5
+    p = mirror_lower_half(lower, degree)
+    expected = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
+    assert [v.to_dict(canonical=True) for v in violations] == [expected.to_dict(canonical=True)]
+    assert violations[0].verdict == "VIOLATION"
+    assert violations[0].properties == property_record(p)
+    assert violations[0].properties.first_negative == (1, -5)
+    assert violations[0].properties.degree == degree
 
 
 def _unit_violations_one_by_one(n, table):
@@ -254,21 +314,20 @@ def test_violations_come_in_k_order_not_column_order(monkeypatch):
 
 
 @pytest.mark.parametrize("ns", [range(2, 61), [150]], ids=["n<=60", "n=150"])
-def test_column_chain_matches_expand(ns):
+def test_row_chain_matches_expand(ns):
     # every polynomial triple of the sweep, as _conjecture1_unit expands it
     expansions = {}
     for n in ns:
-        table = _polynomial_ls(n)
-        for l in range(1, n // 2):
-            ks = [k for k in range(l + 1, n // 2 + 1) if table[k] <= table[l]]
-            if not ks:
-                continue
-            column = list(expand_quotient_column(n, l, ks))
-            # one yield per polynomial k, walking k upward
-            assert [k for k, _ in column] == ks
-            for k, p in column:
-                assert p == expand(from_quotient_spec(QuotientSpec(n, k, l))), (n, k, l)
-                expansions[QuotientSpec(n, k, l)] = p
+        rows = _polynomial_rows(n, _polynomial_ls(n))
+        halves = list(quotient_lower_halves(n, rows))
+        # one yield per polynomial pair, in ascending k, then l
+        assert [(k, l) for k, l, _ in halves] == [(k, l) for k, ls in rows for l in ls]
+        for k, l, lower in halves:
+            degree = quotient_degree(n, k, l)
+            assert len(lower) == degree // 2 + 1, (n, k, l)
+            p = mirror_lower_half(lower, degree)
+            assert p == expand(from_quotient_spec(QuotientSpec(n, k, l))), (n, k, l)
+            expansions[QuotientSpec(n, k, l)] = p
     if 150 in ns:
         # the widest case of the n <= 150 sweep
         widest = expansions[QuotientSpec(150, 73, 1)]
@@ -419,6 +478,27 @@ def test_sweep_checkpoint_repeated_interruption(tmp_path):
     assert canonical_json(final.to_dict(canonical=True)) == canonical_json(
         plain.to_dict(canonical=True)
     )
+
+
+@pytest.mark.parametrize(
+    "n_max, stop_after, field, change",
+    [(5, 2, "examined", 1), (40, 19, "examined", 1), (40, 19, "polynomial", -1),
+     (40, 19, "polynomial", 1)],
+    ids=["n5-examined-0-to-1", "n40-examined-up", "n40-polynomial-down", "n40-polynomial-up"],
+)
+def test_conjecture1_checkpoint_counts_are_rederived(tmp_path, n_max, stop_after, field, change):
+    path = tmp_path / "c1.ckpt"
+    sweep_conjecture1(n_max, checkpoint=str(path), stop_after=stop_after)
+    payload = json.loads(path.read_text())
+    assert payload["cursor"] == stop_after + 1
+    assert payload["counts"]["examined"] == expected_examined(stop_after + 1)
+    assert sweep_conjecture1(n_max, checkpoint=str(path), resume=True, stop_after=0).counts == (
+        payload["counts"]
+    )
+    payload["counts"][field] += change
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointMismatch, match="does not derive"):
+        sweep_conjecture1(n_max, checkpoint=str(path), resume=True)
 
 
 def test_sweep_checkpoint_mismatch_refused(tmp_path):

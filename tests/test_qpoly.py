@@ -274,6 +274,8 @@ class TestTruncatedSeriesKernels:
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
     @example([BIG, -1, 0, 1, -(BIG << 10)], (6, 6))
     @example([1, -1, 0, 1], (5, 4))
+    @example([3, -1, 4, 1, -5, 9], (7, 3))  # blocks of 3 from 3, the last one partial
+    @example([2, -7, 1, 8, 2, 8], (9, 3))  # k*k == size: a prefix sum per class
     @example([], (0, 1))
     def test_div_matches_untruncated(self, b, size_step):
         size, k = size_step
