@@ -536,6 +536,14 @@ def _fake_gaussian_unit(task):
     return examined, polynomial, violations
 
 
+def _fake_gaussian_counts(task):
+    """(examined, polynomial) of one unit, by the cyclotomic profile alone."""
+    template, seed, value_max, m_span, start, count = task
+    exprs = (from_fake_gaussian(_sample_spec(template, seed, i, value_max, m_span))
+             for i in range(start, start + count))
+    return count, sum(map(is_polynomial, exprs))
+
+
 def sweep_fake_gaussian(
     template: str,
     seed: int,
@@ -579,7 +587,7 @@ def sweep_fake_gaussian(
     ]
     return _run_units(
         "fake-gaussian", params, units, _fake_gaussian_unit,
-        workers, checkpoint, resume, stop_after,
+        workers, checkpoint, resume, stop_after, recount=_fake_gaussian_counts,
     )
 
 

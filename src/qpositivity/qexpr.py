@@ -346,9 +346,9 @@ def expand_via_cyclotomics(
 ) -> "IntPolynomial":
     """Expansion as an explicit product of cyclotomic polynomials.
 
-    Independent reference route for expand: read off the exponent profile,
-    refuse on any negative entry, otherwise multiply out C_d^e factors.
-    Slower than expand but structurally unrelated to it.
+    Reference route for expand: refuse on a negative exponent profile entry,
+    the test is_polynomial makes, otherwise multiply out C_d^e factors.
+    Slower than expand, and its product shares no schedule with expand's.
     """
     profile = _exponent_profile(expr)
     if any(e < 0 for e in profile.values()):

@@ -7,12 +7,12 @@ vectors have essentially no gaps, and the sweeps are throughput-bound.
 Coefficients are plain Python ints; central coefficients of large Gaussian
 polynomials overflow any fixed-width type, so no numpy shortcuts.
 
-The kernels keep their inner loops in C without leaving Python ints:
-multiplying or dividing by (1 - q^k) is one slice subtraction or one
-prefix sum per residue class, and poly_mul adds one shifted row per
-nonzero term of its sparser operand, each as a map over a list slice.
-The same two (1 - q^k) steps also exist in place on a power series
-truncated to its list length, for expansions that need only a prefix.
+The kernels keep their inner loops in C without leaving Python ints.  One
+pair of in-place kernels multiplies or divides a power series, truncated
+to its list length, by (1 - q^k): a slice subtraction, or a prefix sum per
+residue class or a slice add per block.  The exact list steps, q_binomial
+and the cyclotomic polynomials are built on that pair.  poly_mul adds one
+shifted row per nonzero term of its sparser operand.
 
 Division helpers return the ``NotDivisible`` singleton instead of raising:
 a non-polynomial quotient is an expected, reportable outcome, not an error.
@@ -214,10 +214,12 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def poly_div_exact(a: IntPolynomial, b: IntPolynomial) -> "IntPolynomial | _NotDivisibleType":
-    """Exact quotient over the integers, or NotDivisible.
+    """Exact quotient over the integers by long division, or NotDivisible.
 
     Returns c with c*b == a, or NotDivisible when no integer polynomial
-    quotient exists.  Division by zero is a contract violation.
+    quotient exists.  Division by zero is a contract violation.  No code in
+    the package calls it: it is the schoolbook reference that the tests
+    check the (1 - q^k) kernels against.
 
     >>> poly_div_exact(IntPolynomial([1, 0, 0, 0, 0, 0, -1]), IntPolynomial([1, 0, 0, -1]))
     IntPolynomial(1 + q^3)
@@ -248,32 +250,6 @@ def poly_div_exact(a: IntPolynomial, b: IntPolynomial) -> "IntPolynomial | _NotD
     return IntPolynomial(quot)
 
 
-def _div_one_minus_qk_list(coeffs: list[int], k: int) -> "list[int] | None":
-    # Quotient by (1 - q^k) via the recurrence c_i = a_i + c_{i-k}: each
-    # residue class mod k is a running prefix sum, so itertools.accumulate
-    # does the whole class at C speed.  Divisibility holds exactly when the
-    # top k accumulated values vanish.
-    n = len(coeffs)
-    if n == 0:
-        return []
-    out = [0] * n
-    for r in range(min(k, n)):
-        out[r::k] = itertools.accumulate(coeffs[r::k])
-    m = n - k
-    if any(out[max(m, 0):]):
-        return None
-    return out[:m] if m > 0 else []
-
-
-def _mul_one_minus_qm_list(coeffs: list[int], m: int) -> list[int]:
-    # Product with (1 - q^m): subtract a shifted copy, done by map at C speed.
-    if not coeffs:
-        return []
-    out = coeffs + [0] * m
-    out[m:] = map(sub, out[m:], coeffs)
-    return out
-
-
 def _mul_one_minus_qm_series(coeffs: list[int], m: int) -> None:
     # In place: the power series coeffs times (1 - q^m), truncated to
     # len(coeffs) terms; an m at or past the truncation acts as 1.
@@ -296,6 +272,26 @@ def _div_one_minus_qk_series(coeffs: list[int], k: int) -> None:
             coeffs[i : i + k] = map(add, coeffs[i : i + k], coeffs[i - k : i])
 
 
+def _mul_one_minus_qm_list(coeffs: list[int], m: int) -> list[int]:
+    # Product with (1 - q^m): the series kernel on coeffs padded with m zeros.
+    out = coeffs + [0] * m if coeffs else []
+    _mul_one_minus_qm_series(out, m)
+    return out
+
+
+def _div_one_minus_qk_list(coeffs: "list[int] | tuple[int, ...]", k: int) -> "list[int] | None":
+    # Exact quotient by (1 - q^k): the series kernel on a copy.  Past the
+    # list every a_i is 0, so the series stops exactly when its top k terms
+    # vanish, and then the rest is the quotient.
+    out = list(coeffs)
+    _div_one_minus_qk_series(out, k)
+    top = max(len(out) - k, 0)
+    if any(out[top:]):
+        return None
+    del out[top:]
+    return out
+
+
 def div_one_minus_qk(a: IntPolynomial, k: int) -> "IntPolynomial | _NotDivisibleType":
     """Exact quotient of a by (1 - q**k), or NotDivisible.
 
@@ -309,7 +305,7 @@ def div_one_minus_qk(a: IntPolynomial, k: int) -> "IntPolynomial | _NotDivisible
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    out = _div_one_minus_qk_list(list(a.coeffs), k)
+    out = _div_one_minus_qk_list(a.coeffs, k)
     if out is None:
         return NotDivisible
     return IntPolynomial(out)
@@ -329,43 +325,34 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def _q_power_minus_one(n: int) -> IntPolynomial:
-    """The polynomial q**n - 1."""
-    return IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+@functools.lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    """The Moebius function, from sum over d | n of mu(d) = [n == 1]."""
+    return 1 if n == 1 else -sum(_mobius(e) for e in _divisors(n)[:-1])
 
 
-class CyclotomicCache:
-    """Memoized table of cyclotomic polynomials, indexed by d.
+class CyclotomicCache(dict):
+    """Cyclotomic polynomials keyed by their index d, each built on first lookup.
 
-    Entries are immutable once computed.  Concurrent readers are safe; under
-    CPython a racing duplicate insertion just rewrites an equal value, and a
-    per-worker private cache is always a valid alternative.
+    C_1 = q - 1; for d > 1, C_d is the product over e | d of
+    (1 - q^e)^mu(d/e), the mu = +1 factors multiplied first so that every
+    division by a mu = -1 factor is exact.  A racing duplicate insertion
+    rewrites an equal value, and a per-worker private cache is always valid.
     """
 
-    def __init__(self) -> None:
-        self._table: dict[int, IntPolynomial] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, d: int) -> bool:
-        return d in self._table
-
-    def get(self, d: int) -> IntPolynomial:
-        """The d-th cyclotomic polynomial.
-
-        Computed by dividing q**d - 1 by the cyclotomic polynomials of the
-        proper divisors of d; every intermediate division is exact.
-        """
+    def __missing__(self, d: int) -> IntPolynomial:
         if d < 1:
             raise ValueError("cyclotomic index must be a positive integer")
-        poly = self._table.get(d)
-        if poly is None:
-            poly = _q_power_minus_one(d)
-            for e in _divisors(d)[:-1]:
-                poly = poly_div_exact(poly, self.get(e))
-                assert poly is not NotDivisible
-            self._table[d] = poly
+        coeffs = [1]
+        for e in _divisors(d):
+            if _mobius(d // e) == 1:
+                coeffs = _mul_one_minus_qm_list(coeffs, e)
+        for e in _divisors(d):
+            if _mobius(d // e) == -1:
+                coeffs = _div_one_minus_qk_list(coeffs, e)
+                assert coeffs is not None
+        # the product is 1 - q at d = 1
+        poly = self[d] = IntPolynomial(coeffs if d > 1 else [-1, 1])
         return poly
 
 
@@ -382,7 +369,7 @@ def cyclotomic(d: int, cache: "CyclotomicCache | None" = None) -> IntPolynomial:
     >>> cyclotomic(6)
     IntPolynomial(1 - q + q^2)
     """
-    return (_SHARED_CACHE if cache is None else cache).get(d)
+    return (_SHARED_CACHE if cache is None else cache)[d]
 
 
 def q_int(m: int) -> IntPolynomial:

@@ -422,6 +422,21 @@ def test_sweep_checkpoint_edited_count_refused(tmp_path, capsys):
     _assert_refused(capsys)
 
 
+def test_fake_gaussian_checkpoint_edited_counts_refused(tmp_path, capsys):
+    ckpt = tmp_path / "fg.ckpt"
+    args = ["sweep", "fake-gaussian", "--template", "aba", "--seed", "0", "--samples", "1000",
+            "--jobs", "1", "--checkpoint", str(ckpt)]
+    assert run_cli(args + ["--stop-after", "2"]) == 0
+    payload = json.loads(ckpt.read_text())
+    assert payload["cursor"] == 400
+    payload["counts"]["examined"] -= 3
+    payload["counts"]["polynomial"] += 7
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(args + ["--resume"]) == 2
+    _assert_refused(capsys)
+
+
 def test_sweep_checkpoint_too_deeply_nested_refused(tmp_path, capsys):
     ckpt = tmp_path / "deep.ckpt"
     ckpt.write_text("[" * 200000 + "]" * 200000)

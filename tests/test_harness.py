@@ -501,6 +501,27 @@ def test_conjecture1_checkpoint_counts_are_rederived(tmp_path, n_max, stop_after
         sweep_conjecture1(n_max, checkpoint=str(path), resume=True)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [{"examined": -3, "polynomial": 7}, {"examined": 1}, {"polynomial": -1}],
+    ids=["examined-down-polynomial-up", "examined-up", "polynomial-down"],
+)
+def test_fake_gaussian_checkpoint_counts_are_rederived(tmp_path, edit):
+    # a fresh aba, seed 0 run of 1000 samples counts 1000/150; resumed from
+    # its cursor-400 checkpoint with the first edit it used to count 997/157
+    path = tmp_path / "fg.ckpt"
+    sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), stop_after=2)
+    payload = json.loads(path.read_text())
+    assert payload["cursor"] == 400 and payload["counts"]["examined"] == 400
+    resumed = sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), resume=True, stop_after=0)
+    assert resumed.counts == payload["counts"]
+    for field, change in edit.items():
+        payload["counts"][field] += change
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointMismatch, match="does not derive"):
+        sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), resume=True)
+
+
 def test_sweep_checkpoint_mismatch_refused(tmp_path):
     path = str(tmp_path / "c1.ckpt")
     sweep_conjecture1(20, checkpoint=path, stop_after=3)
@@ -627,12 +648,17 @@ def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
             sweep_conjecture1(20, checkpoint=str(path), resume=True)
 
 
-def _write_one_violation_checkpoint(path, sweep, params, cursor, unit, violation):
+def _write_one_violation_checkpoint(path, sweep, params, cursor, unit, violation, counts):
+    # counts: a real run's up to the cursor, so that the violation alone is refused
     path.write_text(json.dumps({
         "format": CHECKPOINT_FORMAT, "sweep": sweep, "params": params, "cursor": cursor,
-        "counts": {"examined": 9, "polynomial": 3, "violations": 1},
+        "counts": {**counts, "violations": 1},
         "violations": [[unit, violation]],
     }))
+
+
+#: the counts of the whole of _FG_PARAMS's sweep, one unit to cursor 10
+_FG_COUNTS = sweep_fake_gaussian("aa", seed=1, samples=10).counts
 
 
 def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
@@ -640,14 +666,15 @@ def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
     # not a polynomial, and the aa template never draws the Stanton spec
     path = tmp_path / "c1.ckpt"
     violation = {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}
-    _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, 6, violation)
-    with pytest.raises(CheckpointMismatch):
+    counts = sweep_conjecture1(8, stop_after=5).counts
+    _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, 6, violation, counts)
+    with pytest.raises(CheckpointMismatch, match="does not report"):
         sweep_conjecture1(8, checkpoint=str(path), resume=True)
 
     _write_one_violation_checkpoint(
-        path, "fake-gaussian", _FG_PARAMS, 10, 10, _STANTON_VIOLATION
+        path, "fake-gaussian", _FG_PARAMS, 10, 10, _STANTON_VIOLATION, _FG_COUNTS
     )
-    with pytest.raises(CheckpointMismatch):
+    with pytest.raises(CheckpointMismatch, match="does not report"):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
 
@@ -660,8 +687,11 @@ def test_fake_gaussian_checkpoint_violation_not_drawn_before_the_cursor_refused(
     # unit (samples 0..9) has not run, and at cursor 10 it ran and was clean
     path = tmp_path / "fg.ckpt"
     violation = {**_STANTON_VIOLATION, "note": note}
-    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, cursor, 10, violation)
-    with pytest.raises(CheckpointMismatch):
+    counts = _FG_COUNTS if cursor else {"examined": 0, "polynomial": 0}
+    _write_one_violation_checkpoint(
+        path, "fake-gaussian", _FG_PARAMS, cursor, 10, violation, counts
+    )
+    with pytest.raises(CheckpointMismatch, match="does not report"):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
 
@@ -779,8 +809,10 @@ def test_checkpoint_with_a_tampered_genuine_violation_refused(
 def test_fake_gaussian_checkpoint_quotient_spec_refused(tmp_path, field):
     path = tmp_path / "fg.ckpt"
     violation = {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}
-    _write_one_violation_checkpoint(path, "fake-gaussian", _FG_PARAMS, 10, 10, violation)
-    with pytest.raises(CheckpointMismatch):
+    _write_one_violation_checkpoint(
+        path, "fake-gaussian", _FG_PARAMS, 10, 10, violation, _FG_COUNTS
+    )
+    with pytest.raises(CheckpointMismatch, match="does not report"):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
 

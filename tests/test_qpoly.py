@@ -258,8 +258,8 @@ def size_and_step(draw):
 
 
 class TestTruncatedSeriesKernels:
-    # the in-place kernels behind the Conjecture 1 row chain, against the
-    # untruncated list kernels cut to the same length
+    # the in-place kernels behind the Conjecture 1 row chain and the list
+    # steps, against poly_mul and the schoolbook poly_div_exact
 
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
     @example([BIG, -1, 0, 1, -(BIG << 10)], (4, 4))
@@ -269,7 +269,7 @@ class TestTruncatedSeriesKernels:
         size, m = size_step
         series = _truncated(a, size)
         qpoly._mul_one_minus_qm_series(series, m)
-        assert series == _truncated(qpoly._mul_one_minus_qm_list(a, m), size)
+        assert series == _truncated(poly_mul(IntPolynomial(a), one_minus_q(m)).coeffs, size)
 
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
     @example([BIG, -1, 0, 1, -(BIG << 10)], (6, 6))
@@ -279,14 +279,62 @@ class TestTruncatedSeriesKernels:
     @example([], (0, 1))
     def test_div_matches_untruncated(self, b, size_step):
         size, k = size_step
-        # a is divisible by (1 - q^k), so the list kernel's exact quotient
-        # is the series quotient
-        a = qpoly._mul_one_minus_qm_list(b, k)
-        exact = qpoly._div_one_minus_qk_list(a, k)
-        assert exact == b
+        a = poly_mul(IntPolynomial(b), one_minus_q(k))
+        assert poly_div_exact(a, one_minus_q(k)) == IntPolynomial(b)
+        series = _truncated(a.coeffs, size)
+        qpoly._div_one_minus_qk_series(series, k)
+        assert series == _truncated(b, size)
+
+    @given(st.lists(mul_coeffs, max_size=30), size_and_step())
+    @example([1, 2, 3, 4, 5], (20, 5))  # k*k > size, no quotient
+    def test_div_of_any_series_multiplies_back(self, a, size_step):
+        # the power series quotient exists whether or not a polynomial does
+        size, k = size_step
         series = _truncated(a, size)
         qpoly._div_one_minus_qk_series(series, k)
-        assert series == _truncated(exact, size)
+        back = poly_mul(IntPolynomial(series), one_minus_q(k)).coeffs
+        assert _truncated(back, size) == _truncated(a, size)
+
+
+@st.composite
+def list_step_cases(draw):
+    """(coeffs, k): coeffs divisible by (1 - q^k) or arbitrary, k up to past the length."""
+    k = draw(st.integers(1, 40))
+    coeffs = draw(st.lists(mul_coeffs, max_size=30))
+    if draw(st.booleans()):
+        coeffs = list(poly_mul(IntPolynomial(coeffs), one_minus_q(k)).coeffs)
+    return coeffs, k
+
+
+class TestListKernels:
+    # the exact list steps that expand, q_binomial and the cyclotomic
+    # polynomials run, against poly_mul and poly_div_exact
+
+    @given(st.lists(mul_coeffs, max_size=30), st.integers(1, 40))
+    @example([], 3)
+    @example([BIG << 10, 0, -1], 5)
+    def test_mul_matches_poly_mul(self, a, m):
+        got = qpoly._mul_one_minus_qm_list(a, m)
+        assert len(got) == (len(a) + m if a else 0)
+        assert IntPolynomial(got) == poly_mul(IntPolynomial(a), one_minus_q(m))
+
+    @given(list_step_cases())
+    @example(([], 4))
+    @example(([1, 0, 0, -1], 3))  # k == len - 1
+    @example(([1, 2, 3], 3))  # k >= len, not divisible
+    @example(([0, 0, 0], 7))  # k >= len, the zero polynomial
+    @example(([1, 2, 3, 4, 5, 6, 7, 8, 9, -1, -2, -3, -4, -5, -6, -7, -8, -9], 9))  # k*k > len
+    @example(([1, 2, 3, 4, 5, 6, 7, 8, 9, -1, -2, -3, -4, -5, -6, -7, -8, -8], 9))
+    @example(([BIG << 10, 1, -1, -(BIG << 10), -1, 1], 3))
+    def test_div_matches_poly_div_exact(self, case):
+        a, k = case
+        want = poly_div_exact(IntPolynomial(a), one_minus_q(k))
+        got = qpoly._div_one_minus_qk_list(a, k)
+        if want is NotDivisible:
+            assert got is None
+        else:
+            assert len(got) == max(len(a) - k, 0)
+            assert IntPolynomial(got) == want
 
 
 def test_divisors_match_trial_division():
@@ -294,6 +342,23 @@ def test_divisors_match_trial_division():
         got = qpoly._divisors(n)
         assert isinstance(got, tuple)
         assert got == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _trial_mobius(n: int) -> int:
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def test_mobius_matches_trial_factorization():
+    for n in range(1, 501):
+        assert qpoly._mobius(n) == _trial_mobius(n), n
 
 
 class TestCyclotomic:
@@ -312,11 +377,12 @@ class TestCyclotomic:
             assert cyclotomic(d).degree == phi
 
     def test_product_over_divisors(self):
-        for n in (1, 2, 5, 6, 12, 28, 60):
+        # q^n - 1 = prod over d | n of C_d, for every n, fixes each C_d
+        for n in range(1, 301):
             prod = IntPolynomial([1])
             for d in qpoly._divisors(n):
                 prod = poly_mul(prod, cyclotomic(d))
-            assert prod == qpoly._q_power_minus_one(n)
+            assert prod == IntPolynomial.monomial(1, n) - IntPolynomial.one()
 
     def test_q_int_cyclotomic_factorization(self):
         # [m] carries every C_d with d | m, d >= 2, and no C_1
@@ -332,7 +398,7 @@ class TestCyclotomic:
         assert len(cache) == 0
         p = cyclotomic(10, cache)
         assert p == IntPolynomial([1, -1, 1, -1, 1])
-        assert 10 in cache and 5 in cache and len(cache) >= 4
+        assert 10 in cache and len(cache) == 1
 
     def test_cached_entry_reused(self):
         cache = CyclotomicCache()
