@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .qpoly import IntPolynomial
+from .qpoly import IntPolynomial, PackedSeries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,14 +29,23 @@ class PropertyRecord:
     degree: int
 
 
-def nonnegativity(p: IntPolynomial) -> "tuple[bool, tuple[int, int] | None]":
+def nonnegativity(
+    p: "IntPolynomial | PackedSeries",
+) -> "tuple[bool, tuple[int, int] | None]":
     """Whether all coefficients are nonnegative, with the first offender.
+
+    A packed series is read as it stands, by the top bit of each field.
 
     >>> nonnegativity(IntPolynomial([1, 2, 3]))
     (True, None)
     >>> nonnegativity(IntPolynomial([1, 0, -2, -5]))
     (False, (2, -2))
+    >>> nonnegativity(PackedSeries.from_coeffs([1, 0, -2, -5], 8))
+    (False, (2, -2))
     """
+    if isinstance(p, PackedSeries):
+        first = p.first_negative()
+        return first is None, first
     # min() runs at C speed; the offender is located only on failure
     if min(p.coeffs, default=0) >= 0:
         return True, None

@@ -460,11 +460,12 @@ def _conjecture1_unit(n: int):
     for k, l, lower in quotient_lower_halves(n, rows):
         degree = quotient_degree(n, k, l)
         # an even degree's middle coefficient is not mirrored
-        mirrored_sum = 2 * sum(lower) - (lower[-1] if degree % 2 == 0 else 0)
+        mirrored_sum = 2 * lower.digit_sum() - (lower.top_digit() if degree % 2 == 0 else 0)
         if negative[l][k - l - 1] or mirrored_sum * math.comb(n, l) != math.comb(n, k):
             p = NotDivisible
-        elif not nonnegativity(IntPolynomial(lower))[0]:
-            p = IntPolynomial(lower + lower[: degree + 1 - len(lower)][::-1])
+        elif not nonnegativity(lower)[0]:
+            coeffs = lower.coeffs
+            p = IntPolynomial(coeffs + coeffs[: degree + 1 - len(coeffs)][::-1])
         else:
             continue
         spec = QuotientSpec(n, k, l)

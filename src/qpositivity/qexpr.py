@@ -18,24 +18,25 @@ The Conjecture 1 sweep, whose quotients are already known to be
 polynomials, expands all of one n's from one chained power series, the
 Gaussian binomial row, stepped up k and truncated to the lower half of
 the largest degree; at each k a copy of it is stepped up l.  Each step
-multiplies by one (1-q^m) factor and divides by one (1-q^j), and each
-polynomial is read off as the lower half of a reciprocal polynomial.
+multiplies by one (1-q^m) factor and divides by one (1-q^j), on a
+PackedSeries of one width per n, and each polynomial is read off as the
+lower half of a reciprocal polynomial.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 
 from .qpoly import (
     IntPolynomial,
     NotDivisible,
     CyclotomicCache,
+    PackedSeries,
     _div_one_minus_qk_list,
-    _div_one_minus_qk_series,
     _divisors,
     _mul_one_minus_qm_list,
-    _mul_one_minus_qm_series,
     cyclotomic,
     poly_mul,
 )
@@ -310,35 +311,65 @@ def column_negative_exponents(n: int, l: int, k_max: int):
         yield negative
 
 
+def lower_half_width(n: int, rows) -> int:
+    """The digit width that packs every lower half of quotient_lower_halves(n, rows).
+
+    A lower half is F = G(n,k) prod_(j<=l) (1-q^j) / prod_(j<l) (1-q^(n-j))
+    mod q^L, L = D//2+1, polynomial or not.  The L1 norm of a product mod
+    q^L is at most the product of its factors' L1 norms mod q^L.  G(n,k)
+    has nonnegative coefficients summing to C(n,k); prod (1-q^j) has L1
+    norm at most 2^l; and below q^L the coefficients of the last factor
+    count the multisets of at most p = (L-1)//(n-l+1) of its l parts, all
+    >= n-l+1, so they sum to at most C(p+l, l).  Likewise
+    F = prod_(j=l+1..k) (1-q^(n-j+1))/(1-q^j) has L1 norm at most
+    2^(k-l) C(p'+k-l, k-l) mod q^L, p' = (L-1)//(l+1).  The smaller bound
+    bounds every coefficient of F and their sum, and 2 more bits keep both
+    below 2^(width-2).
+    """
+    widest = 0
+    for k, ls in rows:
+        for l in ls:
+            size = quotient_degree(n, k, l) // 2 + 1
+            row_form = math.comb(n, k) << l
+            row_form *= math.comb((size - 1) // (n - l + 1) + l, l)
+            column_form = math.comb((size - 1) // (l + 1) + k - l, k - l) << (k - l)
+            widest = max(widest, min(row_form, column_form))
+    return widest.bit_length() + 2
+
+
 def quotient_lower_halves(n: int, rows):
     """Yield (k, l, lower) for each pair of rows, in ascending k, then l.
 
     rows lists (k, ls) by ascending k, ls the ascending l, 1 <= l < k <= n/2,
     whose F(n,k,l) = [l]![n-l]!/([k]![n-k]!) is known to be a polynomial;
     lower is its power series mod q^(D//2+1), D = quotient_degree(n, k, l),
-    the lower half of a reciprocal polynomial.  A row steps the Gaussian
-    binomial G(n,k) = F(n,k,0) up k by (1-q^(n-k+1))/(1-q^k), truncated for
-    the largest D; at each k a copy of it steps up l by (1-q^(l+1))/(1-q^(n-l)),
+    the lower half of a reciprocal polynomial, as a PackedSeries of the
+    width lower_half_width(n, rows).  A row steps the Gaussian binomial
+    G(n,k) = F(n,k,0) up k by (1-q^(n-k+1))/(1-q^k), truncated for the
+    largest D; at each k a copy of it steps up l by (1-q^(l+1))/(1-q^(n-l)),
     cut to each l's own length.  A truncated power series does not depend
     on the path taken to it.  Nothing here checks polynomiality or f(1).
 
-    >>> list(quotient_lower_halves(11, [(3, [1, 2])]))
+    >>> [(k, l, lower.coeffs) for k, l, lower in quotient_lower_halves(11, [(3, [1, 2])])]
     [(3, 1, [1, 0, 1, 1, 1, 1, 2, 1]), (3, 2, [1, 0, 0, 1])]
     """
-    row = [1] + [0] * max((quotient_degree(n, k, ls[0]) // 2 for k, ls in rows), default=0)
+    if not rows:
+        return
+    size = max(quotient_degree(n, k, ls[0]) // 2 + 1 for k, ls in rows)
+    row = PackedSeries(1, lower_half_width(n, rows), size)
     k_row = 0
     for k, ls in rows:
         for j in range(k_row + 1, k + 1):
-            _mul_one_minus_qm_series(row, n - j + 1)
-            _div_one_minus_qk_series(row, j)
-        k_row, series, l_series = k, row[:], 0
+            row.mul_one_minus_qm(n - j + 1)
+            row.div_one_minus_qk(j)
+        k_row, series, l_series = k, row, 0
         for l in ls:
-            del series[quotient_degree(n, k, l) // 2 + 1 :]
+            series = series.cut(quotient_degree(n, k, l) // 2 + 1)
             for j in range(l_series, l):
-                _mul_one_minus_qm_series(series, j + 1)
-                _div_one_minus_qk_series(series, n - j)
+                series.mul_one_minus_qm(j + 1)
+                series.div_one_minus_qk(n - j)
             l_series = l
-            yield k, l, series[:]
+            yield k, l, series
 
 
 def expand_via_cyclotomics(

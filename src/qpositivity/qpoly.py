@@ -12,7 +12,9 @@ pair of in-place kernels multiplies or divides a power series, truncated
 to its list length, by (1 - q^k): a slice subtraction, or a prefix sum per
 residue class or a slice add per block.  The exact list steps, q_binomial
 and the cyclotomic polynomials are built on that pair.  poly_mul adds one
-shifted row per nonzero term of its sparser operand.
+shifted row per nonzero term of its sparser operand.  PackedSeries holds a
+truncated series as one int, a fixed-width field per coefficient (Kronecker
+substitution), and takes the same two steps by shifts, adds and masks.
 
 Division helpers return the ``NotDivisible`` singleton instead of raising:
 a non-polynomial quotient is an expected, reportable outcome, not an error.
@@ -253,9 +255,9 @@ def poly_div_exact(a: IntPolynomial, b: IntPolynomial) -> "IntPolynomial | _NotD
 def _mul_one_minus_qm_series(coeffs: list[int], m: int) -> None:
     # In place: the power series coeffs times (1 - q^m), truncated to
     # len(coeffs) terms; an m at or past the truncation acts as 1.
-    size = len(coeffs)
-    if m < size:
-        coeffs[m:] = map(sub, coeffs[m:], coeffs[: size - m])
+    # map stops at the shorter input, and the slice assignment takes all
+    # of its values before it writes, so coeffs is read unchanged
+    coeffs[m:] = map(sub, coeffs[m:], coeffs)
 
 
 def _div_one_minus_qk_series(coeffs: list[int], k: int) -> None:
@@ -270,6 +272,108 @@ def _div_one_minus_qk_series(coeffs: list[int], k: int) -> None:
     else:
         for i in range(k, size, k):
             coeffs[i : i + k] = map(add, coeffs[i : i + k], coeffs[i - k : i])
+
+
+class PackedSeries:
+    """A power series c_0 + c_1 q + ... mod q^length, packed into one int.
+
+    value is sum c_i 2^(width i) mod 2^(width length).  Sending q to
+    2^width maps Z[q]/(q^length) onto Z/2^(width length) as a ring map, and
+    1 - 2^(width k) is odd, so the steps by (1 - q^k) are exact on value
+    whatever its digits are on the way: a few shifts, adds and masks of one
+    int.  The digits read back exactly when every |c_i| and |sum c_i| is
+    below 2^(width-2), which the caller's width must ensure.  Each field
+    then holds its c_i, a negative one as c_i + 2^width borrowing 1 from the
+    field above, so bit width-1 of a field is first set at the first
+    negative digit.  top, that bit of every field, may be shared by the
+    series of one width that are no longer.
+
+    >>> s = PackedSeries.from_coeffs([1, 2, 3, 4], 8)
+    >>> s.div_one_minus_qk(2); s.coeffs
+    [1, 2, 4, 6]
+    >>> s.mul_one_minus_qm(2); s.coeffs, s.digit_sum(), s.top_digit()
+    ([1, 2, 3, 4], 10, 4)
+    """
+
+    __slots__ = ("value", "width", "length", "top", "_mask")
+
+    def __init__(self, value: int, width: int, length: int, top: "int | None" = None) -> None:
+        self.width, self.length = width, length
+        self._mask = (1 << (width * length)) - 1
+        self.value = value & self._mask
+        if top is None:
+            top, fields = 1 << (width - 1), 1
+            while fields < length:
+                top |= top << (width * fields)
+                fields *= 2
+        self.top = top
+
+    @classmethod
+    def from_coeffs(cls, coeffs: "list[int] | tuple[int, ...]", width: int) -> "PackedSeries":
+        value = 0
+        for c in reversed(coeffs):
+            value = (value << width) + c
+        return cls(value, width, len(coeffs))
+
+    @property
+    def coeffs(self) -> list[int]:
+        """The digits c_0 .. c_(length-1)."""
+        # adding top turns each digit into the field c_i + 2^(width-1),
+        # which borrows nothing
+        w, half = self.width, 1 << (self.width - 1)
+        bits = format((self.value + self.top) & self._mask, f"0{w * self.length}b")
+        return [int(bits[end - w : end], 2) - half for end in range(w * self.length, 0, -w)]
+
+    def cut(self, length: int) -> "PackedSeries":
+        """A copy mod q^length, for a length no longer than this one."""
+        return PackedSeries(self.value, self.width, length, self.top)
+
+    def mul_one_minus_qm(self, m: int) -> None:
+        self.value = (self.value - (self.value << (self.width * m))) & self._mask
+
+    def div_one_minus_qk(self, k: int) -> None:
+        # times (1 + x)(1 + x^2)(1 + x^4)... for x = q^k, the inverse of
+        # 1 - x below q^length
+        value, mask = self.value, self._mask
+        shift, bits = self.width * k, self.width * self.length
+        while shift < bits:
+            value = (value + (value << shift)) & mask
+            shift *= 2
+        self.value = value
+
+    def first_negative(self) -> "tuple[int, int] | None":
+        """(i, c_i) for the first negative digit, or None if there is none."""
+        hits = self.value & self.top
+        if not hits:
+            return None
+        w = self.width
+        i = ((hits & -hits).bit_length() - 1) // w
+        # the digits below i are nonnegative, so field i borrowed nothing
+        return i, ((self.value >> (w * i)) & ((1 << w) - 1)) - (1 << w)
+
+    def digit_sum(self) -> int:
+        """The exact sum of the digits.
+
+        2^width is 1 mod 2^width - 1, and value is sum c_i 2^(width i) plus
+        2^(width length) exactly when its top bit is set, so value folded
+        in halves, less that bit, is the sum mod 2^width - 1.
+        """
+        w = self.width
+        total = self.value
+        while fields := total.bit_length() // (2 * w):
+            total = (total >> (w * fields)) + (total & ((1 << (w * fields)) - 1))
+        modulus = (1 << w) - 1
+        total = (total - (self.value >> (w * self.length - 1))) % modulus
+        return total - modulus if total > modulus >> 1 else total
+
+    def top_digit(self) -> int:
+        """c_(length-1), read from the top field and the bit below it."""
+        w = self.width
+        shift = w * (self.length - 1)
+        c = self.value >> shift
+        if shift:  # a negative digit below borrowed 1 from the top field
+            c += (self.value >> (shift - 1)) & 1
+        return c - (1 << w) if c >> (w - 1) else c
 
 
 def _mul_one_minus_qm_list(coeffs: list[int], m: int) -> list[int]:

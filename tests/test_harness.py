@@ -44,10 +44,17 @@ from qpositivity.qexpr import (
     from_factorials,
     from_quotient_spec,
     is_polynomial,
+    lower_half_width,
     quotient_degree,
     quotient_lower_halves,
 )
-from qpositivity.qpoly import IntPolynomial, NotDivisible
+from qpositivity.qpoly import (
+    IntPolynomial,
+    NotDivisible,
+    PackedSeries,
+    _div_one_minus_qk_series,
+    _mul_one_minus_qm_series,
+)
 
 
 def test_doctests():
@@ -190,6 +197,7 @@ def test_f1_check_refuses_when_the_mirrored_sum_misses_f1(monkeypatch):
     spec = QuotientSpec(12, 2, 1)
     assert str(from_quotient_spec(spec)) == "[11]/[2]"
     [(k, l, lower)] = quotient_lower_halves(12, [(2, [1])])
+    lower = lower.coeffs
     assert (k, l, lower) == (2, 1, [1, 0, 1, 0, 1])
     assert sum(mirror_lower_half(lower, quotient_degree(12, 2, 1)).coeffs) == 6
 
@@ -216,6 +224,7 @@ def test_is_polynomial_guard_catches_what_f1_passes(monkeypatch):
     spec = QuotientSpec(34, 15, 13)
     assert not is_polynomial(from_quotient_spec(spec))
     [(k, l, lower)] = quotient_lower_halves(34, [(15, [13])])
+    lower = lower.coeffs
     assert (k, l) == (15, 13)
     assert sum(mirror_lower_half(lower, quotient_degree(34, 15, 13)).coeffs) == 2
     # F_15 has C_14 and C_15 at exponent -1
@@ -243,12 +252,15 @@ def test_negative_coefficient_in_a_lower_half_is_reported_as_expanded(monkeypatc
     def tampered(n, rows):
         for k, l, lower in real(n, rows):
             if (n, k, l) == (34, 15, 3):
-                lower[2] += lower[1] + 5
-                lower[1] = -5
-                forced.append(lower)
+                coeffs = lower.coeffs
+                coeffs[2] += coeffs[1] + 5
+                coeffs[1] = -5
+                forced.append(coeffs)
+                lower = PackedSeries.from_coeffs(coeffs, lower.width)
             yield k, l, lower
 
     [(_, _, untouched)] = real(34, [(15, [3])])
+    untouched = untouched.coeffs
     monkeypatch.setattr(qpositivity.harness, "quotient_lower_halves", tampered)
     _, _, violations = _conjecture1_unit(34)
     [lower] = forced
@@ -323,6 +335,8 @@ def test_row_chain_matches_expand(ns):
         # one yield per polynomial pair, in ascending k, then l
         assert [(k, l) for k, l, _ in halves] == [(k, l) for k, ls in rows for l in ls]
         for k, l, lower in halves:
+            assert lower.width == lower_half_width(n, rows)
+            lower = lower.coeffs
             degree = quotient_degree(n, k, l)
             assert len(lower) == degree // 2 + 1, (n, k, l)
             p = mirror_lower_half(lower, degree)
@@ -333,6 +347,41 @@ def test_row_chain_matches_expand(ns):
         widest = expansions[QuotientSpec(150, 73, 1)]
         assert widest.degree == 5472
         assert max(c.bit_length() for c in widest.coeffs) == 130
+
+
+def _list_lower_halves(n, rows):
+    """quotient_lower_halves on coefficient lists, stepped by the truncated
+    series kernels: the reference for the packed chain."""
+    row = [1] + [0] * max((quotient_degree(n, k, ls[0]) // 2 for k, ls in rows), default=0)
+    k_row = 0
+    for k, ls in rows:
+        for j in range(k_row + 1, k + 1):
+            _mul_one_minus_qm_series(row, n - j + 1)
+            _div_one_minus_qk_series(row, j)
+        k_row, series, l_series = k, row[:], 0
+        for l in ls:
+            del series[quotient_degree(n, k, l) // 2 + 1 :]
+            for j in range(l_series, l):
+                _mul_one_minus_qm_series(series, j + 1)
+                _div_one_minus_qk_series(series, n - j)
+            l_series = l
+            yield k, l, series[:]
+
+
+def test_packed_width_covers_every_lower_half_to_150():
+    # every coefficient of every lower half of the n <= 150 sweep, and
+    # their sum, stays below 2^(width-2), so the packed digits read back
+    pairs = 0
+    for n in range(2, 151):
+        rows = _polynomial_rows(n, _polynomial_ls(n))
+        limit = 1 << (lower_half_width(n, rows) - 2)
+        for k, l, lower in _list_lower_halves(n, rows):
+            assert max(map(abs, lower)) < limit and abs(sum(lower)) < limit, (n, k, l)
+            pairs += 1
+    assert pairs == 8261
+    assert list(_list_lower_halves(11, [(3, [1, 2])])) == [
+        (k, l, lower.coeffs) for k, l, lower in quotient_lower_halves(11, [(3, [1, 2])])
+    ]
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qpositivity.qpoly as qpoly
+from qpositivity.analysis import nonnegativity
 from qpositivity.qpoly import (
     NEG_INF,
     CyclotomicCache,
     IntPolynomial,
     NotDivisible,
+    PackedSeries,
     cyclotomic,
     div_one_minus_qk,
     poly_add,
@@ -335,6 +337,85 @@ class TestListKernels:
         else:
             assert len(got) == max(len(a) - k, 0)
             assert IntPolynomial(got) == want
+
+
+@st.composite
+def packable(draw, sum_fits=False):
+    """(digits, width): 4..130 bits and 1..64 digits, each below 2^(width-2)
+    in absolute value; with sum_fits their sum too, one digit as wide as
+    that allows."""
+    width = draw(st.integers(4, 130))
+    room = (1 << (width - 2)) - 1
+    length = draw(st.integers(1, 64))
+    share = room // length if sum_fits else room
+    digit = st.one_of(st.integers(-share, share), st.sampled_from([0, share, -share]))
+    digits = draw(st.lists(digit, min_size=length, max_size=length))
+    if sum_fits:
+        i = draw(st.integers(0, length - 1))
+        digits[i] = draw(st.sampled_from([1, -1])) * (room - share * (length - 1))
+    return digits, width
+
+
+@st.composite
+def one_negative(draw):
+    """(digits, width) with one negative digit: the first, the last or any."""
+    width = draw(st.integers(4, 130))
+    room = (1 << (width - 2)) - 1
+    digits = draw(st.lists(st.integers(0, room), min_size=1, max_size=64))
+    i = draw(st.sampled_from([0, len(digits) - 1]) | st.integers(0, len(digits) - 1))
+    digits[i] = draw(st.sampled_from([-room, -1]) | st.integers(-room, -1))
+    return digits, width
+
+
+class TestPackedSeries:
+    # the packed chain of the Conjecture 1 sweep: its digits read back,
+    # and its checks agree with those on the unpacked coefficients
+
+    @given(packable())
+    @example(([-1], 4))
+    @example(([3, -3, 0, -3, 3], 4))
+    @example(([2**128 - 1, -(2**128 - 1)], 130))
+    def test_round_trip(self, case):
+        digits, width = case
+        packed = PackedSeries.from_coeffs(digits, width)
+        assert packed.coeffs == digits
+        assert packed.top_digit() == digits[-1]
+        assert packed.cut(1).coeffs == digits[:1]
+
+    @given(packable() | one_negative())
+    @example(([0, 0, -1], 4))
+    @example(([-3], 4))
+    @example(([-1, 3, 3], 130))
+    def test_nonnegativity_matches_the_polynomial(self, case):
+        digits, width = case
+        got = nonnegativity(PackedSeries.from_coeffs(digits, width))
+        assert got == nonnegativity(IntPolynomial(digits))
+
+    @given(packable(sum_fits=True))
+    @example(([-3], 4))
+    @example(([1, -3, 1], 4))
+    @example(([-(2**128 - 1), 0], 130))
+    def test_digit_sum_is_exact(self, case):
+        digits, width = case
+        assert PackedSeries.from_coeffs(digits, width).digit_sum() == sum(digits)
+
+    @given(
+        st.lists(mul_coeffs, min_size=1, max_size=40),
+        st.lists(st.tuples(st.booleans(), st.integers(1, 45)), max_size=8),
+    )
+    @example([1] * 10, [(True, 1)] * 8)
+    def test_steps_match_the_series_kernels(self, a, steps):
+        # exact mod 2^(width length): only the final digits have to fit
+        series = list(a)
+        for divide, j in steps:
+            (qpoly._div_one_minus_qk_series if divide else qpoly._mul_one_minus_qm_series)(series, j)
+        width = max(max(map(abs, series)), abs(sum(series))).bit_length() + 2
+        packed = PackedSeries.from_coeffs(a, width)
+        for divide, j in steps:
+            (packed.div_one_minus_qk if divide else packed.mul_one_minus_qm)(j)
+        assert packed.coeffs == series
+        assert packed.digit_sum() == sum(series)
+        assert packed.cut(len(a) // 2 + 1).coeffs == series[: len(a) // 2 + 1]
 
 
 def test_divisors_match_trial_division():
