@@ -52,7 +52,6 @@ from .qexpr import (
     FactoredQExpression,
     FakeGaussianSpec,
     QuotientSpec,
-    cyclotomic_exponent,
     expand,
     expand_via_cyclotomics,
     from_factorials,
@@ -65,12 +64,9 @@ from .qpoly import (
     IntPolynomial,
     NotDivisible,
     cyclotomic,
-    div_one_minus_qk,
     poly_add,
-    poly_div_exact,
     poly_mul,
     q_binomial,
-    q_int,
 )
 
 __version__ = "0.1.0"

@@ -69,10 +69,6 @@ class FactoredQExpression:
         """Degree of the expansion if it is a polynomial: sum of e*(m-1)."""
         return sum(e * (m - 1) for m, e in self.factors)
 
-    @property
-    def max_argument(self) -> int:
-        return self.factors[-1][0] if self.factors else 1
-
     def __mul__(self, other: "FactoredQExpression") -> "FactoredQExpression":
         return FactoredQExpression(self.factors + other.factors)
 
@@ -195,17 +191,6 @@ def from_fake_gaussian(spec: FakeGaussianSpec) -> FactoredQExpression:
             factors.append((spec.m + i, ai))
             factors.append((i, -ai))
     return FactoredQExpression(factors)
-
-
-def cyclotomic_exponent(expr: FactoredQExpression, d: int) -> int:
-    """Exponent of the cyclotomic polynomial C_d in expr, for d >= 2.
-
-    C_d divides [m] exactly once when d divides m, so the exponent is a
-    plain signed count.  d = 1 is excluded: q-integers carry no C_1.
-    """
-    if d < 2:
-        raise ValueError("cyclotomic exponents are defined here for d >= 2")
-    return sum(e for m, e in expr.factors if m % d == 0)
 
 
 def _exponent_profile(expr: FactoredQExpression) -> dict[int, int]:

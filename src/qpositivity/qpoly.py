@@ -16,8 +16,9 @@ shifted row per nonzero term of its sparser operand.  PackedSeries holds a
 truncated series as one int, a fixed-width field per coefficient (Kronecker
 substitution), and takes the same two steps by shifts, adds and masks.
 
-Division helpers return the ``NotDivisible`` singleton instead of raising:
-a non-polynomial quotient is an expected, reportable outcome, not an error.
+A failed exact division yields a value, not an exception: the list step
+returns None, and the expansions built on it return the ``NotDivisible``
+singleton, since a non-polynomial quotient is a reportable outcome.
 """
 
 from __future__ import annotations
@@ -77,48 +78,10 @@ class IntPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "IntPolynomial":
-        """The polynomial ``coefficient * q**exponent``.
-
-        >>> IntPolynomial.monomial(-1, 3)
-        IntPolynomial(-q^3)
-        """
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        if coefficient == 0:
-            return cls(())
-        return cls((0,) * exponent + (coefficient,))
-
     @property
     def degree(self) -> "int | float":
         """Degree, with the zero polynomial at minus infinity."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def coefficient(self, exponent: int) -> int:
-        """The coefficient of q**exponent (0 beyond the degree)."""
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return 0
-
-    def evaluate(self, x: int) -> int:
-        """Exact value at an integer point, by Horner's rule.
-
-        >>> q_binomial(4, 2).evaluate(1)
-        6
-        """
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def substitute_q_power(self, t: int) -> "IntPolynomial":
         """The polynomial p(q**t).
@@ -213,43 +176,6 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         elif c:
             out[i : i + n] = map(add, out[i : i + n], map(mul, cb, itertools.repeat(c)))
     return IntPolynomial(out)
-
-
-def poly_div_exact(a: IntPolynomial, b: IntPolynomial) -> "IntPolynomial | _NotDivisibleType":
-    """Exact quotient over the integers by long division, or NotDivisible.
-
-    Returns c with c*b == a, or NotDivisible when no integer polynomial
-    quotient exists.  Division by zero is a contract violation.  No code in
-    the package calls it: it is the schoolbook reference that the tests
-    check the (1 - q^k) kernels against.
-
-    >>> poly_div_exact(IntPolynomial([1, 0, 0, 0, 0, 0, -1]), IntPolynomial([1, 0, 0, -1]))
-    IntPolynomial(1 + q^3)
-    >>> poly_div_exact(IntPolynomial([1, 0, 0, 0, 0, -1]), IntPolynomial([1, 0, -1]))
-    NotDivisible
-    """
-    if not b.coeffs:
-        raise ZeroDivisionError("division of a polynomial by zero")
-    if not a.coeffs:
-        return IntPolynomial(())
-    if len(a.coeffs) < len(b.coeffs):
-        return NotDivisible
-    rem = list(a.coeffs)
-    nb = len(b.coeffs)
-    lead = b.coeffs[-1]
-    quot = [0] * (len(rem) - nb + 1)
-    for i in reversed(range(len(quot))):
-        c = rem[i + nb - 1]
-        if c % lead:
-            return NotDivisible
-        qc = c // lead
-        quot[i] = qc
-        if qc:
-            for j, bj in enumerate(b.coeffs):
-                rem[i + j] -= qc * bj
-    if any(rem):
-        return NotDivisible
-    return IntPolynomial(quot)
 
 
 def _mul_one_minus_qm_series(coeffs: list[int], m: int) -> None:
@@ -396,25 +322,6 @@ def _div_one_minus_qk_list(coeffs: "list[int] | tuple[int, ...]", k: int) -> "li
     return out
 
 
-def div_one_minus_qk(a: IntPolynomial, k: int) -> "IntPolynomial | _NotDivisibleType":
-    """Exact quotient of a by (1 - q**k), or NotDivisible.
-
-    Agrees with poly_div_exact(a, 1 - q^k) on both the quotient and the
-    NotDivisible verdict, but runs in linear time.
-
-    >>> div_one_minus_qk(IntPolynomial([1, 0, 0, 0, 0, 0, 0, 0, 0, -1]), 3)
-    IntPolynomial(1 + q^3 + q^6)
-    >>> div_one_minus_qk(IntPolynomial([1, 0, 0, 0, 0, -1]), 2)
-    NotDivisible
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    out = _div_one_minus_qk_list(a.coeffs, k)
-    if out is None:
-        return NotDivisible
-    return IntPolynomial(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending; memoized, hence a tuple."""
@@ -474,19 +381,6 @@ def cyclotomic(d: int, cache: "CyclotomicCache | None" = None) -> IntPolynomial:
     IntPolynomial(1 - q + q^2)
     """
     return (_SHARED_CACHE if cache is None else cache)[d]
-
-
-def q_int(m: int) -> IntPolynomial:
-    """The q-integer 1 + q + ... + q**(m-1).
-
-    >>> q_int(1)
-    IntPolynomial(1)
-    >>> q_int(5)
-    IntPolynomial(1 + q + q^2 + q^3 + q^4)
-    """
-    if m < 1:
-        raise ValueError("q_int argument must be a positive integer")
-    return IntPolynomial((1,) * m)
 
 
 def q_binomial(n: int, k: int) -> IntPolynomial:

@@ -80,7 +80,7 @@ def test_verify_quotient_examples():
 
     r = verify_quotient(QuotientSpec(9, 4, 4), keep_expansion=True)
     assert r.verdict == "polynomial-nonnegative"
-    assert r.expansion == IntPolynomial.one()
+    assert r.expansion == IntPolynomial([1])
 
 
 def test_verify_quotient_preconditions():
