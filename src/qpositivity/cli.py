@@ -75,15 +75,6 @@ def _coeff_list(coeffs) -> str:
     return "[" + ",".join(str(c) for c in coeffs) + "]"
 
 
-def _checked(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with the ValueError that library code raises
-    for an out-of-range parameter turned into a usage error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _resolve_checkpoint(path: "str | None") -> "str | None":
     if path is None or os.path.isabs(path):
         return path
@@ -106,7 +97,7 @@ def _parse_check_spec(tokens: "list[str]", fake: bool):
             m = int(tokens[0])
         except ValueError:
             raise UsageError(f"bad m {tokens[0]!r}")
-        return _checked(FakeGaussianSpec, m, _parse_sequence(tokens[1]))
+        return FakeGaussianSpec(m, _parse_sequence(tokens[1]))
     if len(tokens) != 3:
         raise UsageError("check expects: n k l  (or --fake-gaussian m a1,a2,...)")
     try:
@@ -181,7 +172,7 @@ def cmd_check(args, command: "list[str]") -> int:
         specs = _load_batch(args.batch)
     else:
         specs = [_parse_check_spec(args.spec, args.fake_gaussian)]
-    results = [_checked(_verify, s, args.expand, args.properties) for s in specs]
+    results = [_verify(s, args.expand, args.properties) for s in specs]
     if args.format == "json":
         doc = _document(command, results=[_result_json(r) for r in results])
         print(json.dumps(doc))
@@ -239,8 +230,7 @@ def cmd_sweep(args, command: "list[str]") -> int:
                 f"--n-max {args.n_max} exceeds the desk bound {DESK_N_MAX}; "
                 "pass --long-run to confirm"
             )
-        report = _checked(
-            sweep_conjecture1,
+        report = sweep_conjecture1(
             args.n_max,
             workers=args.jobs,
             checkpoint=checkpoint,
@@ -250,8 +240,7 @@ def cmd_sweep(args, command: "list[str]") -> int:
     else:
         if args.samples is None:
             raise UsageError("sweep fake-gaussian requires --samples")
-        report = _checked(
-            sweep_fake_gaussian,
+        report = sweep_fake_gaussian(
             args.template,
             seed=args.seed,
             samples=args.samples,
@@ -307,10 +296,10 @@ _TABLES = {
 def cmd_reproduce(args, command: "list[str]") -> int:
     if args.name in _TABLES:
         fn, bounds, line = _TABLES[args.name]
-        rows, ok = _checked(fn, *bounds(args))
+        rows, ok = fn(*bounds(args))
     else:
         fn = reproduce_corollary10 if args.name == "corollary10" else crosscheck_theorems
-        report = _checked(fn, args.n_max)
+        report = fn(args.n_max)
         ok = report.counts["violations"] == 0
         rows = [report.to_dict(canonical=True)]
 
@@ -384,7 +373,7 @@ def main(argv: "list[str] | None" = None) -> int:
     ]
     try:
         return handler(args, list(argv))
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: a library parameter out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckpointMismatch as exc:

@@ -275,16 +275,16 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
                   recount):
     """Cursor, counts, and violations restored from a checkpoint, or fresh.
 
-    A restored cursor must be 0 or the cursor of one of the sweep's units,
-    and the counts must be nonnegative ints that agree with the number of
-    stored violations; given recount(task), a unit's cheap (examined,
-    polynomial), those two must also be its sums over the passed units.
+    A restored cursor must be 0 or the cursor of one of the sweep's units.
     Each stored violation is a pair [unit cursor, record], and it is
     re-derived, not trusted: the passed units that the pairs name run
     again, in unit order, and their (cursor, violation) pairs must equal
     the stored list element for element as canonical JSON, which also
-    refuses a pair naming a unit the cursor has not passed.  The re-run
-    pairs are the violations restored.
+    refuses a pair naming a unit the cursor has not passed.  The stored
+    counts must equal the derived ones as canonical JSON: the sums of
+    recount(task), a unit's cheap (examined, polynomial), over the passed
+    units (of unit_fn(task) without a recount), and the number of re-run
+    pairs.  The re-run pairs and the derived counts are restored.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (path and resume):
@@ -305,28 +305,12 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
         )
     try:
         cursor = data["cursor"]
-        restored = dict(data["counts"])
+        restored = data["counts"]
         stored = list(data["violations"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
-    if not (
-        type(cursor) is int
-        and (cursor == 0 or cursor in [c for c, _ in units])
-        and restored.keys() == counts.keys()
-        and all(type(c) is int and c >= 0 for c in restored.values())
-        and restored["violations"] == len(stored)
-    ):
-        raise CheckpointMismatch(
-            f"checkpoint {path} has a cursor that ends no unit, malformed counts, "
-            "or a violation count that disagrees with its violations"
-        )
-    if recount:
-        passed = zip((0, 0), *(recount(task) for c, task in units if c <= cursor))
-        if [restored["examined"], restored["polynomial"]] != list(map(sum, passed)):
-            raise CheckpointMismatch(
-                f"checkpoint {path} holds counts that this {sweep_id!r} sweep does not "
-                "derive for the units before its cursor"
-            )
+    if not (type(cursor) is int and (cursor == 0 or cursor in [c for c, _ in units])):
+        raise CheckpointMismatch(f"checkpoint {path} has a cursor that ends no unit")
     named = {p[0] for p in stored if isinstance(p, list) and p and type(p[0]) is int}
     violations = [
         (c, v) for c, task in units if c <= cursor and c in named for v in unit_fn(task)[2]
@@ -338,7 +322,16 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
             f"checkpoint {path} holds violations that this {sweep_id!r} sweep does not "
             "report for the units before its cursor"
         )
-    return cursor, restored, violations
+    recount = recount or (lambda task: unit_fn(task)[:2])
+    passed = zip((0, 0), *(recount(task) for c, task in units if c <= cursor))
+    examined, polynomial = map(sum, passed)
+    counts = {"examined": examined, "polynomial": polynomial, "violations": len(violations)}
+    if canonical_json(restored) != canonical_json(counts):
+        raise CheckpointMismatch(
+            f"checkpoint {path} holds counts that this {sweep_id!r} sweep does not "
+            "derive for the units before its cursor"
+        )
+    return cursor, counts, violations
 
 
 def _checkpoint_payload(sweep_id, params, cursor, counts, violations) -> dict:
@@ -384,9 +377,9 @@ def _run_units(
     violations); the results are merged in unit order, whatever the worker
     count, and the checkpoint, which stores each violation with its unit's
     cursor, is rewritten after every merged unit.  A checkpoint's cursor
-    must end a unit, and its violations, and its counts given a recount,
-    are re-derived, never trusted (see _resume_state).  The report's seed
-    is params["seed"], None for a sweep that draws nothing.
+    must end a unit, and its violations and counts are re-derived, never
+    trusted (see _resume_state).  The report's seed is params["seed"],
+    None for a sweep that draws nothing.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -215,54 +215,43 @@ def is_polynomial(expr: FactoredQExpression) -> bool:
 def expand(expr: FactoredQExpression) -> "IntPolynomial":
     """Expanded coefficient form of expr, or NotDivisible.
 
-    Works entirely in (1 - q^m) factors: each [m] is (1-q^m)/(1-q), and
-    the surplus (1-q) factors are prepended to whichever side is short, so
-    both sides end up with equally many factors.  Numerator factors are
-    multiplied in ascending order; after each one, any denominator whose
-    full divisor profile is available in the running product is divided
-    out immediately, which keeps intermediate degrees near the final one.
+    Works entirely in (1 - q^m) factors: [m]^e is (1-q^m)^e/(1-q)^e, so
+    (1-q) carries the exponent -sum(e) and both sides have equally many
+    factors.  Numerators are multiplied in ascending order; after each,
+    one downward pass divides out every pending denominator whose divisors
+    are all available, which keeps intermediate degrees near the final one.
 
-    The availability table tracks exact cyclotomic multiplicities of the
-    running product (d = 1 included), so a scheduled division can never
-    fail; this is asserted, not assumed.  Whatever denominators remain at
-    the end are attempted unconditionally, and the NotDivisible verdict is
-    produced by those concrete division failures.
+    avail holds the exact C_d multiplicities of the running product, d = 1
+    included, and a division only lowers them: one pass per numerator
+    finds every division, and a scheduled one can never fail (asserted,
+    not assumed).  The denominators left at the end are divided
+    unconditionally, so NotDivisible is always a concrete division failure.
     """
     numerators: list[int] = []
-    denominators: list[int] = []
-    for m, e in expr.factors:
+    pending: list[int] = []  # the denominators not yet divided out, ascending
+    for m, e in ((1, -sum(e for _, e in expr.factors)), *expr.factors):
         if e > 0:
             numerators.extend([m] * e)
         else:
-            denominators.extend([m] * (-e))
-    balance = len(numerators) - len(denominators)
-    if balance > 0:
-        denominators = [1] * balance + denominators
-    elif balance < 0:
-        numerators = [1] * (-balance) + numerators
+            pending.extend([m] * (-e))
     # avail[d] is the multiplicity of C_d in the running product
-    avail = [0] * (max(numerators + denominators, default=0) + 1)
-    pending = [(cand, _divisors(cand)) for cand in denominators]
+    avail = [0] * (max(numerators + pending, default=0) + 1)
     coeffs = [1]
     for m in numerators:
         coeffs = _mul_one_minus_qm_list(coeffs, m)
         for d in _divisors(m):
             avail[d] += 1
-        i = len(pending) - 1
-        while i >= 0:
-            cand, cand_divisors = pending[i]
-            if all(map(avail.__getitem__, cand_divisors)):
+        for i in reversed(range(len(pending))):
+            cand = pending[i]
+            if all(map(avail.__getitem__, _divisors(cand))):
                 divided = _div_one_minus_qk_list(coeffs, cand)
                 assert divided is not None, f"scheduled division by (1-q^{cand}) failed"
                 coeffs = divided
-                for d in cand_divisors:
+                for d in _divisors(cand):
                     avail[d] -= 1
                 del pending[i]
-                i = len(pending) - 1
-            else:
-                i -= 1
 
-    for cand, _ in sorted(pending):
+    for cand in pending:
         divided = _div_one_minus_qk_list(coeffs, cand)
         if divided is None:
             return NotDivisible

@@ -1,6 +1,7 @@
 """Verification entry points, sweeps, checkpoints, and reproductions."""
 
 import doctest
+import functools
 import hashlib
 import json
 
@@ -32,8 +33,10 @@ from qpositivity.harness import (
 )
 from qpositivity.harness import (
     _conjecture1_unit,
+    _corollary10_unit,
     _polynomial_ls,
     _polynomial_verdict,
+    _run_units,
     _sample_spec,
 )
 from qpositivity.qexpr import (
@@ -529,13 +532,27 @@ def test_sweep_checkpoint_repeated_interruption(tmp_path):
     )
 
 
+def _added(**changes):
+    return lambda counts: {**counts, **{f: counts[f] + c for f, c in changes.items()}}
+
+
+#: the derived counts in another form: each is refused as a wrong value is
+_COUNT_FORMS = {
+    "examined-float": lambda counts: {**counts, "examined": float(counts["examined"])},
+    "zero-violations-false": lambda counts: {**counts, "violations": False},
+    "extra-key": lambda counts: {**counts, "elapsed": 0},
+}
+
+
 @pytest.mark.parametrize(
-    "n_max, stop_after, field, change",
-    [(5, 2, "examined", 1), (40, 19, "examined", 1), (40, 19, "polynomial", -1),
-     (40, 19, "polynomial", 1)],
-    ids=["n5-examined-0-to-1", "n40-examined-up", "n40-polynomial-down", "n40-polynomial-up"],
+    "n_max, stop_after, edit",
+    [(5, 2, _added(examined=1)), (40, 19, _added(examined=1)), (40, 19, _added(polynomial=-1)),
+     (40, 19, _added(polynomial=1)), (40, 19, _added(violations=1)),
+     *((40, 19, form) for form in _COUNT_FORMS.values())],
+    ids=["n5-examined-0-to-1", "n40-examined-up", "n40-polynomial-down", "n40-polynomial-up",
+         "n40-violations-up", *_COUNT_FORMS],
 )
-def test_conjecture1_checkpoint_counts_are_rederived(tmp_path, n_max, stop_after, field, change):
+def test_conjecture1_checkpoint_counts_are_rederived(tmp_path, n_max, stop_after, edit):
     path = tmp_path / "c1.ckpt"
     sweep_conjecture1(n_max, checkpoint=str(path), stop_after=stop_after)
     payload = json.loads(path.read_text())
@@ -544,7 +561,7 @@ def test_conjecture1_checkpoint_counts_are_rederived(tmp_path, n_max, stop_after
     assert sweep_conjecture1(n_max, checkpoint=str(path), resume=True, stop_after=0).counts == (
         payload["counts"]
     )
-    payload["counts"][field] += change
+    payload["counts"] = edit(payload["counts"])
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointMismatch, match="does not derive"):
         sweep_conjecture1(n_max, checkpoint=str(path), resume=True)
@@ -552,8 +569,10 @@ def test_conjecture1_checkpoint_counts_are_rederived(tmp_path, n_max, stop_after
 
 @pytest.mark.parametrize(
     "edit",
-    [{"examined": -3, "polynomial": 7}, {"examined": 1}, {"polynomial": -1}],
-    ids=["examined-down-polynomial-up", "examined-up", "polynomial-down"],
+    [_added(examined=-3, polynomial=7), _added(examined=1), _added(polynomial=-1),
+     _added(violations=1), *_COUNT_FORMS.values()],
+    ids=["examined-down-polynomial-up", "examined-up", "polynomial-down", "violations-up",
+         *_COUNT_FORMS],
 )
 def test_fake_gaussian_checkpoint_counts_are_rederived(tmp_path, edit):
     # a fresh aba, seed 0 run of 1000 samples counts 1000/150; resumed from
@@ -564,11 +583,25 @@ def test_fake_gaussian_checkpoint_counts_are_rederived(tmp_path, edit):
     assert payload["cursor"] == 400 and payload["counts"]["examined"] == 400
     resumed = sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), resume=True, stop_after=0)
     assert resumed.counts == payload["counts"]
-    for field, change in edit.items():
-        payload["counts"][field] += change
+    payload["counts"] = edit(payload["counts"])
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointMismatch, match="does not derive"):
         sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), resume=True)
+
+
+def test_counts_without_a_recount_are_derived_by_running_the_passed_units(tmp_path):
+    path = tmp_path / "c10.ckpt"
+    units = [(n, n) for n in range(1, 4)]
+    run = functools.partial(_run_units, "corollary10", {"n_max": 3}, units, _corollary10_unit,
+                            checkpoint=str(path))
+    run(stop_after=2)
+    payload = json.loads(path.read_text())
+    assert payload["counts"] == {"examined": 2, "polynomial": 2, "violations": 0}
+    assert run(resume=True).counts == {"examined": 3, "polynomial": 3, "violations": 0}
+    payload["counts"]["polynomial"] = 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointMismatch, match="does not derive"):
+        run(resume=True)
 
 
 def test_sweep_checkpoint_mismatch_refused(tmp_path):

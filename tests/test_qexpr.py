@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import qpositivity.qexpr as qexpr
 from _reference import cyclotomic_exponent
+from qpositivity.criteria import Lemma6Variant, corollary10_expression, lemma6_expression
+from qpositivity.harness import STANTON_SEQUENCE
 from qpositivity.qexpr import (
     FactoredQExpression,
     FakeGaussianSpec,
@@ -209,6 +211,41 @@ class TestExpansion:
         if p is not NotDivisible:
             assert p.degree == (e.net_degree if p.coeffs else 0)
             assert p.coeffs, "factored products are never the zero polynomial"
+
+    def test_schedule_keeps_each_peak_within_one_factor_of_the_result(self, monkeypatch):
+        # dividing as soon as a denominator is available is what the
+        # scheduler is for: no running product outgrows the polynomial by
+        # more than its largest factor, on the families the CLI reproduces
+        def families():
+            for n in range(2, 41):
+                for l, ks in ((1, range(1, n)), (2, range(2, n - 1))):
+                    yield from (from_quotient_spec(QuotientSpec(n, k, l)) for k in ks)
+            yield from (from_fake_gaussian(FakeGaussianSpec(m, STANTON_SEQUENCE))
+                        for m in range(1, 21))
+            for K in range(2, 6):
+                for M in range(3):
+                    yield lemma6_expression(K, M, Lemma6Variant.VariantA)
+                    if K >= 3:
+                        yield lemma6_expression(K, M, Lemma6Variant.VariantB)
+            yield from map(corollary10_expression, range(1, 9))
+
+        lengths = []
+        mul = qexpr._mul_one_minus_qm_list
+
+        def recording_mul(coeffs, m):
+            out = mul(coeffs, m)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(qexpr, "_mul_one_minus_qm_list", recording_mul)
+        over = []
+        for e in filter(is_polynomial, families()):
+            lengths.clear()
+            p = expand(e)
+            largest = max((m for m, _ in e.factors), default=1)
+            if max(lengths, default=1) > p.degree + 1 + largest:
+                over.append(str(e))
+        assert over == []
 
     def test_polynomial_quotients_are_reciprocal(self):
         # expansions of [l]![n-l]!/([k]![n-k]!) are palindromic
