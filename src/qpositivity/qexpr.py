@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 
 from .qpoly import (
     IntPolynomial,
@@ -47,22 +48,21 @@ class FactoredQExpression:
     """A product prod [m]^e in canonical form.
 
     Factors are (argument, exponent) pairs with strictly increasing
-    arguments, nonzero exponents, and arguments >= 2.  Factors with
-    argument 1 are dropped on construction since [1] = 1; equal arguments
-    are merged by summing exponents.  The empty product is the constant 1.
+    arguments, nonzero exponents, and arguments >= 2.  Construction sums
+    the exponents of equal arguments in one dict, then drops [1] = 1 and
+    the zero exponents.  The empty product is the constant 1.
     """
 
     factors: tuple[tuple[int, int], ...]
 
     def __init__(self, factors=()) -> None:
-        merged: Counter[int] = Counter()
+        merged: dict[int, int] = {}
         for arg, exp in factors:
             if arg < 1:
                 raise ValueError(f"q-integer argument must be positive, got {arg}")
-            if arg > 1:
-                merged[arg] += exp
-        pairs = tuple(sorted((m, e) for m, e in merged.items() if e != 0))
-        object.__setattr__(self, "factors", pairs)
+            merged[arg] = merged.get(arg, 0) + exp
+        merged.pop(1, None)
+        object.__setattr__(self, "factors", tuple(sorted(filter(itemgetter(1), merged.items()))))
 
     @property
     def net_degree(self) -> int:
@@ -137,27 +137,23 @@ def from_factorials(numerator_tops, denominator_tops) -> FactoredQExpression:
     """The quotient of q-factorial products prod [t]! / prod [s]!.
 
     Arguments are the factorial tops, with repetition.  Tops 0 and 1 both
-    contribute the empty product.
+    contribute the empty product.  The exponent of [m] is the number of
+    numerator tops >= m minus the number of denominator tops >= m: a step
+    function of m, constant between consecutive distinct tops.  So the tops
+    are sorted once, and each run of one exponent is emitted in one extend.
     """
-    bumps: Counter[int] = Counter()
-    for t in numerator_tops:
-        if t < 0:
-            raise ValueError(f"factorial of negative argument [{t}]!")
-        bumps[t + 1] -= 1
-        bumps[1] += 1
-    for t in denominator_tops:
-        if t < 0:
-            raise ValueError(f"factorial of negative argument [{t}]!")
-        bumps[t + 1] += 1
-        bumps[1] -= 1
-    # exponent of [m] is the number of tops >= m upstairs minus downstairs;
-    # sweep once over the step changes instead of per-m membership tests
+    tops = sorted([(t, 1) for t in numerator_tops] + [(s, -1) for s in denominator_tops])
+    if tops and tops[0][0] < 0:
+        raise ValueError(f"factorial of negative argument [{tops[0][0]}]!")
     factors = []
-    running = 0
-    for m in range(1, max(bumps, default=0) + 1):
-        running += bumps.get(m, 0)
-        if running:
-            factors.append((m, running))
+    running = sum(map(itemgetter(1), tops))  # tops >= m upstairs minus downstairs
+    below = 1
+    for t, side in tops:
+        if t > below:
+            if running:
+                factors.extend(zip(range(below + 1, t + 1), repeat(running)))
+            below = t
+        running -= side
     return FactoredQExpression(factors)
 
 
@@ -194,13 +190,12 @@ def from_fake_gaussian(spec: FakeGaussianSpec) -> FactoredQExpression:
 
 
 def _exponent_profile(expr: FactoredQExpression) -> dict[int, int]:
-    """All nonzero cyclotomic exponents of expr, for d >= 2."""
-    profile: Counter[int] = Counter()
+    """All nonzero cyclotomic exponents of expr, for d >= 2, by ascending d."""
+    profile = [0] * (expr.factors[-1][0] + 1 if expr.factors else 0)
     for m, e in expr.factors:
-        for d in _divisors(m):
-            if d >= 2:
-                profile[d] += e
-    return {d: e for d, e in profile.items() if e != 0}
+        for d in _divisors(m)[1:]:
+            profile[d] += e
+    return {d: e for d, e in enumerate(profile) if e}
 
 
 def is_polynomial(expr: FactoredQExpression) -> bool:
@@ -220,6 +215,7 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
     factors.  Numerators are multiplied in ascending order; after each,
     one downward pass divides out every pending denominator whose divisors
     are all available, which keeps intermediate degrees near the final one.
+    The test reads C_cand first, the scarce one, before walking up from d = 1.
 
     avail holds the exact C_d multiplicities of the running product, d = 1
     included, and a division only lowers them: one pass per numerator
@@ -243,7 +239,7 @@ def expand(expr: FactoredQExpression) -> "IntPolynomial":
             avail[d] += 1
         for i in reversed(range(len(pending))):
             cand = pending[i]
-            if all(map(avail.__getitem__, _divisors(cand))):
+            if avail[cand] and all(map(avail.__getitem__, _divisors(cand))):
                 divided = _div_one_minus_qk_list(coeffs, cand)
                 assert divided is not None, f"scheduled division by (1-q^{cand}) failed"
                 coeffs = divided

@@ -73,10 +73,11 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: "list[int] | tuple[int, ...]" = ()) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
 
     @property
     def degree(self) -> "int | float":
@@ -94,8 +95,7 @@ class IntPolynomial:
         if not self.coeffs:
             return IntPolynomial(())
         out = [0] * ((len(self.coeffs) - 1) * t + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * t] = c
+        out[::t] = self.coeffs
         return IntPolynomial(out)
 
     def __bool__(self) -> bool:

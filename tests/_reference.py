@@ -1,9 +1,10 @@
 """Schoolbook references that the tests check the fast routes against.
 
-Neither function is called by the package.  poly_div_exact is long
+None of them is called by the package.  poly_div_exact is long
 division, the reference of the (1 - q^k) kernels; cyclotomic_exponent
 counts one C_d at a time, the reference of the exponent profile and of
-the closed-form exponents of Theorems 8 and 9.
+the closed-form exponents of Theorems 8 and 9; factorial_quotient_factors
+counts tops for each argument, the reference of from_factorials.
 """
 
 from qpositivity.qexpr import FactoredQExpression
@@ -54,3 +55,20 @@ def cyclotomic_exponent(expr: FactoredQExpression, d: int) -> int:
     if d < 2:
         raise ValueError("cyclotomic exponents are defined here for d >= 2")
     return sum(e for m, e in expr.factors if m % d == 0)
+
+
+def factorial_quotient_factors(numerator_tops, denominator_tops) -> tuple:
+    """Canonical factors of prod [t]! / prod [s]!, one argument at a time.
+
+    [m] divides [t]! once for each m <= t, so for each m >= 2 the exponent
+    is the number of numerator tops >= m minus the denominator tops >= m.
+
+    >>> factorial_quotient_factors([12, 2, 2], [11, 4, 1])
+    ((2, 1), (3, -1), (4, -1), (12, 1))
+    """
+    factors = []
+    for m in range(2, max([*numerator_tops, *denominator_tops], default=0) + 1):
+        e = sum(t >= m for t in numerator_tops) - sum(s >= m for s in denominator_tops)
+        if e:
+            factors.append((m, e))
+    return tuple(factors)

@@ -102,6 +102,15 @@ class TestCanonicalForm:
     def test_trailing_zeros_trimmed(self):
         assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
 
+    @given(st.lists(st.integers(-3, 3), max_size=8), st.integers(0, 4))
+    def test_trailing_zeros_stripped_alike_from_any_iterable(self, cs, zeros):
+        cs += [0] * zeros
+        expected = list(cs)
+        while expected and expected[-1] == 0:
+            expected.pop()
+        for coeffs in (cs, tuple(cs), (c for c in cs)):
+            assert IntPolynomial(coeffs).coeffs == tuple(expected)
+
     def test_zero_is_empty(self):
         assert IntPolynomial([0, 0]).coeffs == ()
         assert IntPolynomial([0, 0]) == IntPolynomial([])
@@ -181,6 +190,13 @@ class TestRingOps:
     @given(small_polys, st.integers(1, 4))
     def test_substitute_q_power_matches_evaluation(self, p, t):
         assert horner(p.substitute_q_power(t), 2) == horner(p, 2**t)
+
+    @given(small_polys, st.integers(1, 5))
+    def test_substitute_q_power_matches_its_definition(self, p, t):
+        # p(q^t) has p_i at q^(i t) and zeros between
+        size = (len(p.coeffs) - 1) * t + 1 if p.coeffs else 0
+        expected = tuple(0 if j % t else p.coeffs[j // t] for j in range(size))
+        assert p.substitute_q_power(t).coeffs == expected
 
 
 class TestDivExact:
