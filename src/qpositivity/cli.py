@@ -19,6 +19,7 @@ import sys
 
 from . import __version__
 from .harness import (
+    FAKE_GAUSSIAN_TEMPLATES,
     REPORT_SCHEMA,
     VERDICT_VIOLATION,
     CheckpointMismatch,
@@ -219,8 +220,6 @@ def _print_sweep_jsonl(report: SweepReport, command: "list[str]") -> None:
 
 
 def cmd_sweep(args, command: "list[str]") -> int:
-    if args.resume and not args.checkpoint:
-        raise UsageError("--resume requires --checkpoint")
     checkpoint = _resolve_checkpoint(args.checkpoint)
     if args.family == "conjecture1":
         if args.n_max is None:
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
     sweep.add_argument("family", choices=("conjecture1", "fake-gaussian"))
     sweep.add_argument("--n-max", type=int, help="exhaustive bound (conjecture1)")
-    sweep.add_argument("--template", choices=("a", "aa", "aba", "abcba"), default="aba")
+    sweep.add_argument("--template", choices=FAKE_GAUSSIAN_TEMPLATES, default="aba")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--samples", type=int, help="sample count (fake-gaussian)")
     sweep.add_argument("--value-max", type=int, default=10)

@@ -271,65 +271,55 @@ def _load_checkpoint(path: str) -> "dict | None":
         raise CheckpointMismatch(f"checkpoint {path} is unreadable: {exc}") from exc
 
 
+def _canonical_fields(payload: dict) -> dict:
+    return {key: canonical_json(value) for key, value in payload.items()}
+
+
 def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict, units, unit_fn,
                   recount):
     """Cursor, counts, and violations restored from a checkpoint, or fresh.
 
-    A restored cursor must be 0 or the cursor of one of the sweep's units.
-    Each stored violation is a pair [unit cursor, record], and it is
-    re-derived, not trusted: the passed units that the pairs name run
-    again, in unit order, and their (cursor, violation) pairs must equal
-    the stored list element for element as canonical JSON, which also
-    refuses a pair naming a unit the cursor has not passed.  The stored
-    counts must equal the derived ones as canonical JSON: the sums of
-    recount(task), a unit's cheap (examined, polynomial), over the passed
-    units (of unit_fn(task) without a recount), and the number of re-run
-    pairs.  The re-run pairs and the derived counts are restored.
+    The one rule: the file must equal, key by key as canonical JSON, the
+    payload _checkpoint_payload writes for the cursor, counts and
+    violations this build derives.  Format, sweep and params are compared
+    before anything runs, then the cursor must be 0 or end a unit.  The
+    counts sum recount(task), a unit's cheap (examined, polynomial), over
+    the passed units (unit_fn(task) without a recount).  The passed units
+    that the stored [unit cursor, record] pairs name run again for the
+    violations; a passed unit that no pair names is trusted as clean.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
-    if not (path and resume):
-        return 0, counts, []
-    data = _load_checkpoint(path)
+    data = _load_checkpoint(path) if resume else None
     if data is None:
         return 0, counts, []
-    if not isinstance(data, dict):
-        raise CheckpointMismatch(f"checkpoint {path} does not hold a JSON object")
-    if data.get("format") != CHECKPOINT_FORMAT:
+    stored = _canonical_fields(data) if isinstance(data, dict) else {}
+    expected = _canonical_fields(_checkpoint_payload(sweep_id, params, 0, counts, []))
+    header = [k for k in ("format", "sweep", "params") if stored.get(k) != expected[k]]
+    if header:
         raise CheckpointMismatch(
-            f"checkpoint format {data.get('format')!r} is not {CHECKPOINT_FORMAT!r}"
+            f"checkpoint {path} differs in {', '.join(header)} from one written in format "
+            f"{CHECKPOINT_FORMAT!r} by sweep {sweep_id!r} with parameters {params!r}"
         )
-    if data.get("sweep") != sweep_id or data.get("params") != params:
-        raise CheckpointMismatch(
-            f"checkpoint was written by sweep {data.get('sweep')!r} with parameters "
-            f"{data.get('params')!r}; refusing to resume {sweep_id!r} with {params!r}"
-        )
-    try:
-        cursor = data["cursor"]
-        restored = data["counts"]
-        stored = list(data["violations"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatch(f"checkpoint {path} is incomplete or malformed: {exc!r}") from exc
+    cursor = data.get("cursor")
     if not (type(cursor) is int and (cursor == 0 or cursor in [c for c, _ in units])):
         raise CheckpointMismatch(f"checkpoint {path} has a cursor that ends no unit")
-    named = {p[0] for p in stored if isinstance(p, list) and p and type(p[0]) is int}
+    pairs = data.get("violations")
+    pairs = pairs if isinstance(pairs, list) else []
+    named = {p[0] for p in pairs if isinstance(p, list) and p and type(p[0]) is int}
     violations = [
         (c, v) for c, task in units if c <= cursor and c in named for v in unit_fn(task)[2]
     ]
-    if [canonical_json([c, v.to_dict(canonical=True)]) for c, v in violations] != [
-        canonical_json(pair) for pair in stored
-    ]:
-        raise CheckpointMismatch(
-            f"checkpoint {path} holds violations that this {sweep_id!r} sweep does not "
-            "report for the units before its cursor"
-        )
     recount = recount or (lambda task: unit_fn(task)[:2])
     passed = zip((0, 0), *(recount(task) for c, task in units if c <= cursor))
     examined, polynomial = map(sum, passed)
     counts = {"examined": examined, "polynomial": polynomial, "violations": len(violations)}
-    if canonical_json(restored) != canonical_json(counts):
+    derived = _canonical_fields(_checkpoint_payload(sweep_id, params, cursor, counts, violations))
+    keys = sorted(k for k in stored.keys() | derived.keys() if stored.get(k) != derived.get(k))
+    if keys:
+        verb = "report" if "violations" in keys else "derive"
         raise CheckpointMismatch(
-            f"checkpoint {path} holds counts that this {sweep_id!r} sweep does not "
-            "derive for the units before its cursor"
+            f"checkpoint {path} holds {', '.join(keys)} that this {sweep_id!r} sweep does not "
+            f"{verb} for the units before its cursor"
         )
     return cursor, counts, violations
 
@@ -376,15 +366,19 @@ def _run_units(
     of them run.  Each unit_fn(task) returns (examined, polynomial,
     violations); the results are merged in unit order, whatever the worker
     count, and the checkpoint, which stores each violation with its unit's
-    cursor, is rewritten after every merged unit.  A checkpoint's cursor
-    must end a unit, and its violations and counts are re-derived, never
-    trusted (see _resume_state).  The report's seed is params["seed"],
-    None for a sweep that draws nothing.
+    cursor, is rewritten after every merged unit.  resume needs a
+    checkpoint; a missing file starts fresh.  A checkpoint resumes only if
+    it equals the payload this build derives at its cursor: the units its
+    violations name run again, and the other passed units are trusted as
+    clean (see _resume_state).  The report's seed is params["seed"], None
+    for a sweep that draws nothing.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be nonnegative")
+    if resume and not checkpoint:
+        raise ValueError("resume requires a checkpoint")
     cursor, counts, violations = _resume_state(
         checkpoint, resume, sweep_id, params, units, unit_fn, recount
     )
@@ -606,7 +600,8 @@ def _crosscheck_unit(n: int):
     examined = 0
     polynomial = 0
     violations: list[CheckResult] = []
-    expand_once = functools.cache(expand)  # (n, k, l) and (n, n-k, l) build one expression
+    # (n, k, l) and (n, n-k, l) are one expression: build and expand it once
+    expand_once = functools.cache(lambda k, l: expand(from_quotient_spec(QuotientSpec(n, k, l))))
     for l, criterion, k_range in (
         (1, thm8_is_polynomial, range(1, n)),
         (2, thm9_is_polynomial, range(2, n - 1)),
@@ -614,12 +609,13 @@ def _crosscheck_unit(n: int):
         for k in k_range:
             examined += 1
             spec = QuotientSpec(n, k, l)
-            p = expand_once(from_quotient_spec(spec))
+            p = expand_once(min(k, n - k), l)
             brute = p is not NotDivisible
             polynomial += brute
+            says = criterion(n, k)
             note = None
-            if criterion(n, k) != brute:
-                note = f"criterion says {criterion(n, k)}, expansion says {brute}"
+            if says != brute:
+                note = f"criterion says {says}, expansion says {brute}"
             elif brute and not nonnegativity(p)[0]:
                 note = "polynomial expansion has a negative coefficient"
             if note:

@@ -912,6 +912,70 @@ def test_fake_gaussian_checkpoint_cursor_past_the_samples_refused(tmp_path):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path, resume=True)
 
 
+def _recorded(monkeypatch, name):
+    """The tasks passed to harness.<name> from now on, which still runs."""
+    calls = []
+    real = getattr(qpositivity.harness, name)
+
+    def record(task):
+        calls.append(task)
+        return real(task)
+
+    monkeypatch.setattr(qpositivity.harness, name, record)
+    return calls
+
+
+def test_clean_resume_runs_no_unit(tmp_path, monkeypatch):
+    path = str(tmp_path / "c1.ckpt")
+    partial = sweep_conjecture1(40, checkpoint=path, stop_after=19)
+    units = _recorded(monkeypatch, "_conjecture1_unit")
+    recounts = _recorded(monkeypatch, "_conjecture1_pairs")
+    resumed = sweep_conjecture1(40, checkpoint=path, resume=True, stop_after=0)
+    assert units == []
+    assert recounts == list(range(2, 21))
+    assert resumed.counts == partial.counts
+
+
+def test_resume_reruns_exactly_the_units_its_violations_name(tmp_path, monkeypatch):
+    run = _conjecture1_wrong_at_34(monkeypatch)
+    path = str(tmp_path / "c1.ckpt")
+    partial = run(checkpoint=path, stop_after=34)
+    assert partial.cursor == 35 and partial.violations
+    units = _recorded(monkeypatch, "_conjecture1_unit")
+    resumed = run(checkpoint=path, resume=True, stop_after=0)
+    assert units == [34]
+    assert canonical_json(resumed.to_dict(canonical=True)) == canonical_json(
+        partial.to_dict(canonical=True)
+    )
+
+
+def test_resume_under_another_seed_is_refused_before_anything_runs(tmp_path, monkeypatch):
+    path = str(tmp_path / "fg.ckpt")
+    sweep_fake_gaussian("aba", 0, 1000, checkpoint=path, stop_after=2)
+    units = _recorded(monkeypatch, "_fake_gaussian_unit")
+    recounts = _recorded(monkeypatch, "_fake_gaussian_counts")
+    with pytest.raises(CheckpointMismatch, match="by sweep 'fake-gaussian' with parameters"):
+        sweep_fake_gaussian("aba", 1, 1000, checkpoint=path, resume=True)
+    assert units == recounts == []
+
+
+@pytest.mark.parametrize("value", [0, None], ids=["zero", "null"])
+def test_checkpoint_with_an_extra_top_level_key_refused(tmp_path, value):
+    path = tmp_path / "c1.ckpt"
+    sweep_conjecture1(20, checkpoint=str(path), stop_after=3)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "wall_time": value}))
+    with pytest.raises(CheckpointMismatch, match="holds wall_time that .* does not derive"):
+        sweep_conjecture1(20, checkpoint=str(path), resume=True)
+
+
+def test_resume_without_a_checkpoint_is_refused():
+    with pytest.raises(ValueError, match="resume requires a checkpoint"):
+        sweep_conjecture1(8, resume=True)
+    with pytest.raises(ValueError, match="resume requires a checkpoint"):
+        sweep_fake_gaussian("aa", seed=1, samples=10, resume=True)
+
+
 def test_sweep_checkpoint_io_error_propagates(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
