@@ -15,7 +15,6 @@ process, on every run.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -44,6 +43,7 @@ from .qexpr import (
     from_quotient_spec,
     is_polynomial,
     quotient_degree,
+    quotient_expansions,
     quotient_lower_halves,
 )
 from .qpoly import IntPolynomial, NotDivisible, poly_mul
@@ -596,12 +596,17 @@ def crosscheck_theorems(n_max: int) -> SweepReport:
 
 
 def _crosscheck_unit(n: int):
-    """Both theorems' admissible k ranges for one n; the per-n work unit."""
+    """Both theorems' admissible k ranges for one n; the per-n work unit.
+
+    The brute-force side reads each expansion off one exact Gaussian row
+    (quotient_expansions), stepped up k = 0 .. n//2 and finished for l = 1
+    and 2 by exact steps whose failed division is the NotDivisible verdict;
+    (n, k, l) and (n, n-k, l) are one expression, looked up by min(k, n-k).
+    """
     examined = 0
     polynomial = 0
     violations: list[CheckResult] = []
-    # (n, k, l) and (n, n-k, l) are one expression: build and expand it once
-    expand_once = functools.cache(lambda k, l: expand(from_quotient_spec(QuotientSpec(n, k, l))))
+    expansions = {(k, l): p for k, l, p in quotient_expansions(n, (1, 2))}
     for l, criterion, k_range in (
         (1, thm8_is_polynomial, range(1, n)),
         (2, thm9_is_polynomial, range(2, n - 1)),
@@ -609,7 +614,7 @@ def _crosscheck_unit(n: int):
         for k in k_range:
             examined += 1
             spec = QuotientSpec(n, k, l)
-            p = expand_once(min(k, n - k), l)
+            p = expansions[min(k, n - k), l]
             brute = p is not NotDivisible
             polynomial += brute
             says = criterion(n, k)

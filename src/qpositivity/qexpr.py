@@ -21,6 +21,12 @@ the largest degree; at each k a copy of it is stepped up l.  Each step
 multiplies by one (1-q^m) factor and divides by one (1-q^j), on a
 PackedSeries of one width per n, and each polynomial is read off as the
 lower half of a reciprocal polynomial.
+
+The theorem crosscheck, which must find the non-polynomials by a failed
+division, reads every F(n,k,l) of one n off one exact Gaussian row on
+coefficient lists: G(n,k) stepped up k, and at each k multiplied by
+(1-q) .. (1-q^l) and divided by (1-q^n) .. (1-q^(n-l+1)), the first
+division that fails giving NotDivisible.
 """
 
 from __future__ import annotations
@@ -340,6 +346,37 @@ def quotient_lower_halves(n: int, rows):
                 series.div_one_minus_qk(n - j)
             l_series = l
             yield k, l, series
+
+
+def quotient_expansions(n: int, ls):
+    """Yield (k, l, p) for k = 0 .. n//2 and each l of ls, p as expand gives it.
+
+    p is the expansion of F(n,k,l) = G(n,k) prod_(j<=l) (1-q^j) /
+    prod_(j<l) (1-q^(n-j)), or NotDivisible.  One exact Gaussian row G(n,k)
+    steps up k by (1-q^(n-k+1))/(1-q^k), every division exact (asserted).
+    At each k the row is multiplied by (1-q) .. (1-q^l), then divided by
+    (1-q^n) .. (1-q^(n-l+1)).  When F is a polynomial, each partial
+    quotient is F times the denominators still to divide, so no division
+    fails; otherwise one does, and p is NotDivisible, the outcome of that
+    failed division.
+
+    >>> [(k, p) for k, _, p in quotient_expansions(5, [1])]
+    [(0, NotDivisible), (1, IntPolynomial(1)), (2, IntPolynomial(1 + q^2))]
+    """
+    row = [1]
+    for k in range(n // 2 + 1):
+        if k:
+            row = _div_one_minus_qk_list(_mul_one_minus_qm_list(row, n - k + 1), k)
+            assert row is not None, f"Gaussian row G({n},{k}) left a remainder"
+        for l in ls:
+            coeffs = row
+            for j in range(1, l + 1):
+                coeffs = _mul_one_minus_qm_list(coeffs, j)
+            for j in range(l):
+                coeffs = _div_one_minus_qk_list(coeffs, n - j)
+                if coeffs is None:
+                    break
+            yield k, l, NotDivisible if coeffs is None else IntPolynomial(coeffs)
 
 
 def expand_via_cyclotomics(

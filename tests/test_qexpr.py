@@ -20,6 +20,7 @@ from qpositivity.qexpr import (
     from_fake_gaussian,
     from_quotient_spec,
     is_polynomial,
+    quotient_expansions,
 )
 from qpositivity.qpoly import CyclotomicCache, IntPolynomial, NotDivisible, q_binomial
 
@@ -295,6 +296,32 @@ class TestExpansion:
         balance = -sum(x for _, x in e.factors)
         sides = [m for m, x in ((1, balance), *e.factors) for _ in range(abs(x))]
         assert sorted(m for _, m in calls) == sorted(sides)
+        # the Gaussian row's steps, then each l's multiplications and its
+        # divisions up to the first that fails
+        calls.clear()
+        assert list(quotient_expansions(5, [1, 2])) == [
+            (0, 1, NotDivisible), (0, 2, NotDivisible),
+            (1, 1, IntPolynomial([1])), (1, 2, NotDivisible),
+            (2, 1, IntPolynomial([1, 0, 1])), (2, 2, IntPolynomial([1])),
+        ]
+        mul, div = "_mul_one_minus_qm_list", "_div_one_minus_qk_list"
+        assert calls == [
+            (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5),
+            (mul, 5), (div, 1), (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5), (div, 4),
+            (mul, 4), (div, 2), (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5), (div, 4),
+        ]
+
+    def test_gaussian_row_expansions_match_expand(self):
+        # every F(n,k,l) the crosscheck reads, against a from-scratch expansion
+        for n in range(2, 61):
+            got = list(quotient_expansions(n, (1, 2)))
+            assert [(k, l) for k, l, _ in got] == [
+                (k, l) for k in range(n // 2 + 1) for l in (1, 2)
+            ]
+            for k, l, p in got:
+                assert p == expand(from_quotient_spec(QuotientSpec(n, k, l))), (n, k, l)
+        # Theorem 8 refuses F(12, 2, 1) = [11]/[2]: gcd(k, n-k) = gcd(2, 10) = 2
+        assert list(quotient_expansions(12, [1]))[2] == (2, 1, NotDivisible)
 
     def test_polynomial_quotients_are_reciprocal(self):
         # expansions of [l]![n-l]!/([k]![n-k]!) are palindromic
