@@ -64,9 +64,7 @@ from .qpoly import (
     IntPolynomial,
     NotDivisible,
     cyclotomic,
-    poly_add,
     poly_mul,
-    q_binomial,
 )
 
 __version__ = "0.1.0"

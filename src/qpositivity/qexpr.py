@@ -75,12 +75,6 @@ class FactoredQExpression:
         """Degree of the expansion if it is a polynomial: sum of e*(m-1)."""
         return sum(e * (m - 1) for m, e in self.factors)
 
-    def __mul__(self, other: "FactoredQExpression") -> "FactoredQExpression":
-        return FactoredQExpression(self.factors + other.factors)
-
-    def inverse(self) -> "FactoredQExpression":
-        return FactoredQExpression(tuple((m, -e) for m, e in self.factors))
-
     def __str__(self) -> str:
         def side(pairs: list[tuple[int, int]]) -> str:
             return "".join(f"[{m}]" + (f"^{e}" if e > 1 else "") for m, e in pairs)

@@ -10,9 +10,9 @@ polynomials overflow any fixed-width type, so no numpy shortcuts.
 The kernels keep their inner loops in C without leaving Python ints.  One
 pair of in-place kernels multiplies or divides a power series, truncated
 to its list length, by (1 - q^k): a slice subtraction, or a prefix sum per
-residue class or a slice add per block.  The exact list steps, q_binomial
-and the cyclotomic polynomials are built on that pair.  poly_mul adds one
-shifted row per nonzero term of its sparser operand.  PackedSeries holds a
+residue class or a slice add per block.  The exact list steps and the
+cyclotomic polynomials are built on that pair.  poly_mul adds one shifted
+row per nonzero term of its sparser operand.  PackedSeries holds a
 truncated series as one int, a fixed-width field per coefficient (Kronecker
 substitution), and takes the same two steps by shifts, adds and masks.
 
@@ -61,11 +61,9 @@ class IntPolynomial:
     tuple.  Instances are immutable and hashable, so they are safe to share
     between worker processes and to memoize.
 
-    >>> p = IntPolynomial([1, 0, -1])
-    >>> p.degree
-    2
-    >>> p + IntPolynomial([0, 0, 1])
-    IntPolynomial(1)
+    >>> p = IntPolynomial([1, 0, -1, 0, 0])
+    >>> p.coeffs, p.degree
+    ((1, 0, -1), 2)
     >>> IntPolynomial([]).degree == NEG_INF
     True
     """
@@ -101,18 +99,6 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_add(self, -other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_mul(self, other)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -134,19 +120,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self})"
-
-
-def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Coefficientwise sum, canonical form restored.
-
-    >>> poly_add(IntPolynomial([1, 1]), IntPolynomial([1, -1]))
-    IntPolynomial(2)
-    """
-    short, long_ = sorted((a.coeffs, b.coeffs), key=len)
-    out = list(long_)
-    for i, c in enumerate(short):
-        out[i] += c
-    return IntPolynomial(out)
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -384,31 +357,3 @@ def cyclotomic(d: int, cache: "CyclotomicCache | None" = None) -> IntPolynomial:
     """
     return (_SHARED_CACHE if cache is None else cache)[d]
 
-
-def q_binomial(n: int, k: int) -> IntPolynomial:
-    """The Gaussian polynomial, built without rational arithmetic.
-
-    The numerator factors (1 - q^(n-k+i)) for i = 1..k are interleaved with
-    exact divisions by (1 - q^i).  Every prefix of that schedule is itself a
-    Gaussian polynomial, so each division is exact; a failed division here
-    would be an implementation bug, not a data condition.
-
-    >>> q_binomial(4, 2)
-    IntPolynomial(1 + q + 2q^2 + q^3 + q^4)
-    >>> q_binomial(7, 0)
-    IntPolynomial(1)
-    >>> q_binomial(3, 5)
-    IntPolynomial(0)
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return IntPolynomial(())
-    coeffs = [1]
-    for i in range(1, k + 1):
-        coeffs = _mul_one_minus_qm_list(coeffs, n - k + i)
-        divided = _div_one_minus_qk_list(coeffs, i)
-        if divided is None:
-            raise AssertionError(f"inexact division in q_binomial({n}, {k}) at step {i}")
-        coeffs = divided
-    return IntPolynomial(coeffs)

@@ -1,11 +1,17 @@
 """Schoolbook references that the tests check the fast routes against.
 
 None of them is called by the package.  poly_div_exact is long
-division, the reference of the (1 - q^k) kernels; cyclotomic_exponent
-counts one C_d at a time, the reference of the exponent profile and of
-the closed-form exponents of Theorems 8 and 9; factorial_quotient_factors
-counts tops for each argument, the reference of from_factorials.
+division, the reference of the (1 - q^k) kernels; gaussian_rows is the
+q-Pascal triangle, sums and shifts without a division, the reference of
+the Gaussian binomials that expand and quotient_expansions give;
+add_coeffs is the coefficientwise sum the tests write their sums with;
+cyclotomic_exponent counts one C_d at a time, the reference of the
+exponent profile and of the closed-form exponents of Theorems 8 and 9;
+factorial_quotient_factors counts tops for each argument, the reference
+of from_factorials.
 """
+
+from itertools import zip_longest
 
 from qpositivity.qexpr import FactoredQExpression
 from qpositivity.qpoly import IntPolynomial, NotDivisible, _NotDivisibleType
@@ -44,6 +50,31 @@ def poly_div_exact(a: IntPolynomial, b: IntPolynomial) -> "IntPolynomial | _NotD
     if any(rem):
         return NotDivisible
     return IntPolynomial(quot)
+
+
+def add_coeffs(a, b) -> list:
+    """The coefficientwise sum of two coefficient sequences, as a list.
+
+    >>> add_coeffs((1, 1), [1, -1, 3])
+    [2, 0, 3]
+    """
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def gaussian_rows(n_max: int) -> list:
+    """Rows 0..n_max of the Gaussian binomials, row n holding G(n, 0..n).
+
+    Built by the q-Pascal recurrence G(n,k) = G(n-1,k-1) + q^k G(n-1,k).
+
+    >>> [str(p) for p in gaussian_rows(4)[4]]
+    ['1', '1 + q + q^2 + q^3', '1 + q + 2q^2 + q^3 + q^4', '1 + q + q^2 + q^3', '1']
+    """
+    rows = [[IntPolynomial([1])]]
+    for n in range(1, n_max + 1):
+        prev = [p.coeffs for p in rows[-1]]
+        middle = [IntPolynomial(add_coeffs(prev[k - 1], (0,) * k + prev[k])) for k in range(1, n)]
+        rows.append([IntPolynomial([1]), *middle, IntPolynomial([1])])
+    return rows
 
 
 def cyclotomic_exponent(expr: FactoredQExpression, d: int) -> int:

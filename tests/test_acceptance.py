@@ -8,7 +8,7 @@ Run with -s to see the lines as they complete.
 import random
 import time
 
-from _reference import cyclotomic_exponent
+from _reference import cyclotomic_exponent, gaussian_rows
 from qpositivity.analysis import is_reciprocal, nonnegativity
 from qpositivity.criteria import (
     Lemma6Variant,
@@ -36,15 +36,9 @@ from qpositivity.qexpr import (
     expand,
     from_fake_gaussian,
     from_quotient_spec,
+    quotient_expansions,
 )
-from qpositivity.qpoly import (
-    IntPolynomial,
-    NotDivisible,
-    cyclotomic,
-    poly_add,
-    poly_mul,
-    q_binomial,
-)
+from qpositivity.qpoly import IntPolynomial, NotDivisible, cyclotomic, poly_mul
 
 
 def finish(number: int, label: str, started: float, budget: float) -> None:
@@ -162,20 +156,14 @@ def test_acceptance_8_property_suite(tmp_path):
                 product = poly_mul(product, cyclotomic(d))
         assert product == IntPolynomial([1] * m), m
 
-    # Gaussian triangle to n=60: recurrence, symmetry, nonnegativity
-    row = [IntPolynomial([1])]
-    for n in range(1, 61):
-        new = [IntPolynomial([1])]
-        for k in range(1, n):
-            shifted = poly_mul(IntPolynomial([0] * k + [1]), row[k])
-            new.append(poly_add(row[k - 1], shifted))
-        new.append(IntPolynomial([1]))
-        row = new
-        for k, p in enumerate(row):
-            assert p == row[n - k]
+    # Gaussian binomials to n=60 by expand and off the crosscheck's row,
+    # against the q-Pascal triangle: symmetry, nonnegativity
+    for n, row in enumerate(gaussian_rows(60)):
+        half = [p for _, _, p in quotient_expansions(n, [0])]
+        for k, g in enumerate(row):
+            p = expand(from_quotient_spec(QuotientSpec(n, k, 0)))
+            assert p == g == half[min(k, n - k)], (n, k)
             assert min(p.coeffs) >= 0
-    assert row[30] == q_binomial(60, 30)
-    assert row[17] == q_binomial(60, 17)
 
     # expansions seen by the sweep stay reciprocal with constant term 1;
     # the sweep itself flags any breach as a violation

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpositivity.analysis as analysis
+from _reference import gaussian_rows
 from qpositivity.analysis import (
     is_parity_unimodal,
     is_reciprocal,
@@ -15,7 +16,8 @@ from qpositivity.analysis import (
     order_of,
     property_record,
 )
-from qpositivity.qpoly import IntPolynomial, q_binomial
+from qpositivity.qexpr import QuotientSpec, expand, from_quotient_spec
+from qpositivity.qpoly import IntPolynomial
 
 polys = st.lists(st.integers(-9, 9), max_size=20).map(IntPolynomial)
 
@@ -54,9 +56,10 @@ class TestReciprocal:
             is_reciprocal(IntPolynomial([]))
 
     def test_gaussian_polynomials_are_reciprocal(self):
-        for n in range(16):
-            for k in range(n + 1):
-                assert is_reciprocal(q_binomial(n, k))
+        for n, row in enumerate(gaussian_rows(15)):
+            for k, g in enumerate(row):
+                p = expand(from_quotient_spec(QuotientSpec(n, k, 0)))
+                assert p == g and is_reciprocal(p), (n, k)
 
 
 class TestUnimodal:
@@ -82,9 +85,10 @@ class TestUnimodal:
         assert not is_parity_unimodal(IntPolynomial([1, 0, -1, 0, 1]))
 
     def test_gaussian_polynomials_are_unimodal(self):
-        for n in range(18):
-            for k in range(n + 1):
-                assert is_unimodal(q_binomial(n, k)), (n, k)
+        for n, row in enumerate(gaussian_rows(17)):
+            for k, g in enumerate(row):
+                p = expand(from_quotient_spec(QuotientSpec(n, k, 0)))
+                assert p == g and is_unimodal(p), (n, k)
 
     @given(polys)
     def test_unimodal_implies_parity_unimodal_for_nonnegative(self, p):

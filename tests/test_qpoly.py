@@ -8,6 +8,7 @@ with the integer-only fast paths in qpoly, so agreement is meaningful.
 import dataclasses
 import doctest
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import _reference
 import qpositivity.qpoly as qpoly
-from _reference import poly_div_exact
+from _reference import add_coeffs, gaussian_rows, poly_div_exact
 from qpositivity.analysis import nonnegativity
+from qpositivity.qexpr import QuotientSpec, expand, from_quotient_spec, quotient_expansions
 from qpositivity.qpoly import (
     NEG_INF,
     CyclotomicCache,
@@ -24,9 +26,7 @@ from qpositivity.qpoly import (
     NotDivisible,
     PackedSeries,
     cyclotomic,
-    poly_add,
     poly_mul,
-    q_binomial,
 )
 
 
@@ -152,18 +152,15 @@ class TestNotDivisible:
 
 
 class TestRingOps:
-    def test_add_cancellation(self):
-        assert poly_add(IntPolynomial([1, 1]), IntPolynomial([1, -1])) == IntPolynomial([2])
-
     def test_mul_examples(self):
         assert poly_mul(IntPolynomial([1, 1, 1]), one_minus_q(1)) == one_minus_q(3)
         assert poly_mul(IntPolynomial([]), IntPolynomial([1, 1, 1, 1, 1])) == IntPolynomial([])
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_axioms(self, a, b, c):
-        assert poly_add(a, b) == poly_add(b, a)
         assert poly_mul(a, b) == poly_mul(b, a)
-        assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
+        left = poly_mul(a, IntPolynomial(add_coeffs(b.coeffs, c.coeffs)))
+        assert left == IntPolynomial(add_coeffs(poly_mul(a, b).coeffs, poly_mul(a, c).coeffs))
 
     @given(mul_operands, mul_operands)
     @example(IntPolynomial([BIG, -1, 0, 1, 3]), IntPolynomial([1, 0, 0, 1]))
@@ -178,14 +175,8 @@ class TestRingOps:
     @given(small_polys, small_polys, st.integers(-5, 5))
     def test_evaluation_is_a_homomorphism(self, a, b, x):
         assert horner(poly_mul(a, b), x) == horner(a, x) * horner(b, x)
-        assert horner(poly_add(a, b), x) == horner(a, x) + horner(b, x)
-
-    def test_operator_sugar(self):
-        a, b = IntPolynomial([1, 1, 1, 1]), IntPolynomial([1, 1])
-        assert a + b == poly_add(a, b)
-        assert a * b == poly_mul(a, b)
-        assert a - a == IntPolynomial([])
-        assert -b == IntPolynomial([-1, -1])
+        total = IntPolynomial(add_coeffs(a.coeffs, b.coeffs))
+        assert horner(total, x) == horner(a, x) + horner(b, x)
 
     @given(small_polys, st.integers(1, 4))
     def test_substitute_q_power_matches_evaluation(self, p, t):
@@ -332,8 +323,8 @@ def list_step_cases(draw):
 
 
 class TestListKernels:
-    # the exact list steps that expand, q_binomial and the cyclotomic
-    # polynomials run, against poly_mul and poly_div_exact
+    # the exact list steps that expand, the crosscheck's row and the
+    # cyclotomic polynomials run, against poly_mul and poly_div_exact
 
     @given(st.lists(mul_coeffs, max_size=30), st.integers(1, 40))
     @example([], 3)
@@ -489,7 +480,7 @@ class TestCyclotomic:
             prod = IntPolynomial([1])
             for d in qpoly._divisors(n):
                 prod = poly_mul(prod, cyclotomic(d))
-            assert prod == -one_minus_q(n)
+            assert prod == IntPolynomial([-1] + [0] * (n - 1) + [1])
 
     def test_q_int_cyclotomic_factorization(self):
         # [m] carries every C_d with d | m, d >= 2, and no C_1
@@ -528,64 +519,53 @@ class TestQInt:
         assert poly_mul(IntPolynomial([1] * m), one_minus_q(1)) == one_minus_q(m)
 
 
-def pascal_oracle(n_max: int):
-    """Gaussian polynomials via the q-Pascal triangle, no division at all."""
-    rows = [[IntPolynomial([1])]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [IntPolynomial([1])]
-        for k in range(1, n):
-            shifted = poly_mul(IntPolynomial((0,) * k + (1,)), prev[k])
-            row.append(poly_add(prev[k - 1], shifted))
-        row.append(IntPolynomial([1]))
-        rows.append(row)
-    return rows
+def gaussian_row(n: int) -> list:
+    """G(n, 0..n) as `check n k 0` expands them, checked against the
+    crosscheck's exact row for k <= n/2."""
+    row = [expand(from_quotient_spec(QuotientSpec(n, k, 0))) for k in range(n + 1)]
+    assert [p for _, _, p in quotient_expansions(n, [0])] == row[: n // 2 + 1]
+    return row
 
 
 class TestQBinomial:
-    def test_examples(self):
-        assert q_binomial(4, 2) == IntPolynomial([1, 1, 2, 1, 1])
-        assert q_binomial(6, 1) == IntPolynomial([1, 1, 1, 1, 1, 1])
-        assert q_binomial(5, 5) == IntPolynomial([1])
-        assert q_binomial(5, 0) == IntPolynomial([1])
+    # the Gaussian binomials of the two production routes
 
-    def test_out_of_range_is_zero(self):
-        assert q_binomial(3, 5) == IntPolynomial([])
-        assert q_binomial(3, -1) == IntPolynomial([])
+    def test_examples(self):
+        assert gaussian_row(4)[2] == IntPolynomial([1, 1, 2, 1, 1])
+        assert gaussian_row(6)[1] == IntPolynomial([1, 1, 1, 1, 1, 1])
+        assert gaussian_row(5)[5] == IntPolynomial([1])
+        assert gaussian_row(5)[0] == IntPolynomial([1])
 
     def test_matches_pascal_oracle(self):
-        rows = pascal_oracle(24)
-        for n in range(25):
-            for k in range(n + 1):
-                assert q_binomial(n, k) == rows[n][k], (n, k)
+        for n, row in enumerate(gaussian_rows(24)):
+            assert gaussian_row(n) == row, n
 
     def test_both_pascal_recurrences(self):
+        prev = gaussian_row(0)
         for n in range(1, 20):
+            row = gaussian_row(n)
             for k in range(1, n):
-                qk = IntPolynomial((0,) * k + (1,))
-                qnk = IntPolynomial((0,) * (n - k) + (1,))
-                lhs = q_binomial(n, k)
-                assert lhs == poly_add(q_binomial(n - 1, k - 1), poly_mul(qk, q_binomial(n - 1, k)))
-                assert lhs == poly_add(poly_mul(qnk, q_binomial(n - 1, k - 1)), q_binomial(n - 1, k))
+                below, above = prev[k - 1].coeffs, prev[k].coeffs
+                assert row[k] == IntPolynomial(add_coeffs(below, (0,) * k + above))
+                assert row[k] == IntPolynomial(add_coeffs((0,) * (n - k) + below, above))
+            prev = row
 
     def test_symmetry(self):
         for n in range(18):
-            for k in range(n + 1):
-                assert q_binomial(n, k) == q_binomial(n, n - k)
+            row = gaussian_row(n)
+            assert row == row[::-1], n
 
     def test_q_equals_one_is_binomial_coefficient(self):
-        from math import comb
-
         for n in range(30):
-            for k in range(n + 1):
-                assert horner(q_binomial(n, k), 1) == comb(n, k)
+            for k, p in enumerate(gaussian_row(n)):
+                assert horner(p, 1) == comb(n, k)
 
     def test_coefficients_nonnegative(self):
         for n in range(22):
-            for k in range(n + 1):
-                assert all(c >= 0 for c in q_binomial(n, k).coeffs)
+            for p in gaussian_row(n):
+                assert all(c >= 0 for c in p.coeffs)
 
     def test_degree(self):
         for n in range(16):
-            for k in range(n + 1):
-                assert q_binomial(n, k).degree == k * (n - k)
+            for k, p in enumerate(gaussian_row(n)):
+                assert p.degree == k * (n - k)
