@@ -6,6 +6,8 @@ Machine output is schema-versioned JSON: a single document for checks and
 reproductions, line-delimited records for sweeps.  Every number in machine
 output is an exact decimal integer; timings are reported in milliseconds.
 
+Each call of main builds the argument table of the invoked subcommand only.
+
 Exit codes: 0 success, 2 usage error or refusal (bad arguments, checkpoint
 mismatch, I/O failure), 3 positivity violation or reproduction mismatch.
 """
@@ -314,16 +316,7 @@ def cmd_reproduce(args, command: "list[str]") -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qpositivity",
-        description="Exact positivity checks for q-factorial quotients and products.",
-        epilog="Exit codes: 0 ok, 2 usage error or refusal, 3 violation or mismatch.",
-    )
-    parser.add_argument("--version", action="version", version=f"qpositivity {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="verify a single spec or a batch file")
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("spec", nargs="*", help="n k l, or with --fake-gaussian: m a1,a2,...")
     check.add_argument("--fake-gaussian", action="store_true")
     check.add_argument("--expand", action="store_true", help="print the coefficient vector")
@@ -331,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--batch", metavar="FILE", help="one spec per line")
     check.add_argument("--format", choices=("text", "json"), default="text")
 
-    sweep = sub.add_parser("sweep", help="run a parameter sweep")
+
+def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("family", choices=("conjecture1", "fake-gaussian"))
     sweep.add_argument("--n-max", type=int, help="exhaustive bound (conjecture1)")
     sweep.add_argument("--template", choices=FAKE_GAUSSIAN_TEMPLATES, default="aba")
@@ -349,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"allow --n-max beyond {DESK_N_MAX}")
     sweep.add_argument("--format", choices=("text", "json"), default="text")
 
-    reproduce = sub.add_parser("reproduce", help="recompute a named expected result")
+
+def _reproduce_arguments(reproduce: argparse.ArgumentParser) -> None:
     reproduce.add_argument(
         "name", choices=("remark25", "stanton", "corollary10", "lemma6", "crosscheck")
     )
@@ -359,17 +354,41 @@ def build_parser() -> argparse.ArgumentParser:
                            help="m bound for stanton (default 50), M bound for lemma6 (default 3)")
     reproduce.add_argument("--k-max", type=int, default=6, help="K bound for lemma6")
     reproduce.add_argument("--format", choices=("text", "json"), default="text")
+
+
+#: Subcommand name -> (help, function adding its arguments, handler).
+_COMMANDS = {
+    "check": ("verify a single spec or a batch file", _check_arguments, cmd_check),
+    "sweep": ("run a parameter sweep", _sweep_arguments, cmd_sweep),
+    "reproduce": ("recompute a named expected result", _reproduce_arguments, cmd_reproduce),
+}
+
+
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """Every subcommand registered, but only command's arguments added when it
+    names one (all otherwise), so no usage, help or error text depends on it."""
+    parser = argparse.ArgumentParser(
+        prog="qpositivity",
+        description="Exact positivity checks for q-factorial quotients and products.",
+        epilog="Exit codes: 0 ok, 2 usage error or refusal, 3 violation or mismatch.",
+    )
+    parser.add_argument("--version", action="version", version=f"qpositivity {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command not in _COMMANDS or command == name:
+            add_arguments(subparser)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {"check": cmd_check, "sweep": cmd_sweep, "reproduce": cmd_reproduce}[
-        args.command
-    ]
+    # argparse's command is this token, or a dash token it takes as positional
+    # (-1, -), which it refuses as a command before any subparser parses
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
+    handler = _COMMANDS[args.command][2]
     try:
         return handler(args, list(argv))
     except (UsageError, ValueError) as exc:  # ValueError: a library parameter out of range

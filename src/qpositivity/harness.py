@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import time
 
@@ -342,6 +341,7 @@ def _execute_units(units, fn, workers: int):
         for unit in units:
             yield fn(unit)
         return
+    import multiprocessing  # here, not at the top: only a pooled sweep pays its import
     with multiprocessing.Pool(processes=workers) as pool:
         yield from pool.imap(fn, units, chunksize=1)
 

@@ -5,14 +5,17 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpositivity.harness
+from qpositivity import cli
 from qpositivity.cli import build_parser, main
 from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import NotDivisible
@@ -469,6 +472,111 @@ def test_sweep_jobs_default_to_the_cpus_the_process_may_run_on(monkeypatch):
     assert default_jobs() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert default_jobs() == 1
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a pooled sweep imports it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qpositivity.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# main builds the arguments of the invoked subcommand only: every argv must
+# end as it does with the full parser, in exit code, stdout and stderr.
+
+
+#: The timings in check and sweep output, which differ from run to run.
+_TIMINGS = re.compile(r'("elapsed_ms": |"wall_time_ms": |wall time )[0-9.]+')
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, _TIMINGS.sub(r"\1T", out.getvalue()), err.getvalue()
+
+
+def _assert_parity(argv):
+    full_parser = cli.build_parser
+    # a fixed width keeps help and usage text independent of the terminal
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        shipped = _outcome(argv)
+        with mock.patch.object(cli, "build_parser", lambda command=None: full_parser()):
+            full = _outcome(argv)
+    assert shipped == full, argv
+
+
+PARITY_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["bogus"],
+    ["che", "11", "3", "2"],
+    ["-1", "check"],
+    ["--", "check", "11", "3", "2"],
+    ["--format", "json", "check", "11", "3", "2"],
+    ["check", "11", "3", "2", "--jobs", "2"],
+    ["check", "--help"],
+    ["sweep", "--help"],
+    ["reproduce", "--help"],
+    ["check", "11", "3", "2", "--expand"],
+    ["sweep", "conjecture1", "--n-max", "6", "--jobs", "1"],
+    ["reproduce", "remark25"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_main_answers_as_the_full_parser_does(argv):
+    _assert_parity(argv)
+
+
+# no --checkpoint writes a file and no --n-max gives a sweep more than the one
+# unit that runs in-process (fake-gaussian takes 200 samples to a unit);
+# lemma6 and corollary10 are left out as slow at these values
+_PARITY_TOKENS = st.sampled_from([
+    "check", "sweep", "reproduce",
+    "11", "3", "2", "-1", "x", "json",
+    "conjecture1", "fake-gaussian", "remark25", "stanton", "crosscheck",
+    "--", "-h", "--version",
+    "--fake-gaussian", "--expand", "--properties", "--batch", "--format",
+    "--template", "--seed", "--samples", "--value-max", "--m-span", "--jobs", "--resume",
+    "--stop-after", "--long-run", "--m-max", "--k-max",
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.lists(_PARITY_TOKENS, max_size=6))
+def test_main_answers_any_argv_as_the_full_parser_does(argv):
+    _assert_parity(argv)
+
+
+def _commands_refusing(*add_arguments):
+    """cli._COMMANDS with each of add_arguments replaced by one that raises."""
+    def refuse(parser):
+        raise AssertionError(f"built the arguments of {parser.prog}")
+
+    return {
+        name: (help_text, refuse if add in add_arguments else add, handler)
+        for name, (help_text, add, handler) in cli._COMMANDS.items()
+    }
+
+
+def test_main_builds_the_invoked_subcommands_arguments_only(monkeypatch, capsys):
+    check_only = _commands_refusing(cli._sweep_arguments, cli._reproduce_arguments)
+    sweep_only = _commands_refusing(cli._check_arguments, cli._reproduce_arguments)
+    monkeypatch.setattr(cli, "_COMMANDS", check_only)
+    assert run_cli(["check", "11", "3", "2", "--expand"]) == 0
+    assert "polynomial; coefficients [1,0,0,1,0,0,1]" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_COMMANDS", sweep_only)
+    assert run_cli(["sweep", "conjecture1", "--n-max", "6", "--jobs", "1"]) == 0
+    assert "examined 5, polynomial 1, violations 0" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

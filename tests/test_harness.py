@@ -4,6 +4,7 @@ import doctest
 import functools
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given
@@ -1018,7 +1019,7 @@ def test_pool_is_no_larger_than_the_unit_list(monkeypatch):
         def imap(self, fn, units, chunksize=1):
             return map(fn, units)
 
-    monkeypatch.setattr(qpositivity.harness.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     report = sweep_conjecture1(5, workers=8)  # units n = 2..5
     assert sizes == [4]
     assert report.cursor == 5
