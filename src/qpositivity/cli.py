@@ -6,7 +6,9 @@ Machine output is schema-versioned JSON: a single document for checks and
 reproductions, line-delimited records for sweeps.  Every number in machine
 output is an exact decimal integer; timings are reported in milliseconds.
 
-Each call of main builds the argument table of the invoked subcommand only.
+An argv whose first token names a subcommand is parsed by that subcommand's
+parser alone; any other argv, or one leaving a token that parser does not
+take, goes to the full parser.
 
 Exit codes: 0 success, 2 usage error or refusal (bad arguments, checkpoint
 mismatch, I/O failure), 3 positivity violation or reproduction mismatch.
@@ -364,9 +366,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
-    """Every subcommand registered, but only command's arguments added when it
-    names one (all otherwise), so no usage, help or error text depends on it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand registered with its arguments."""
     parser = argparse.ArgumentParser(
         prog="qpositivity",
         description="Exact positivity checks for q-factorial quotients and products.",
@@ -375,19 +376,26 @@ def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qpositivity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if command not in _COMMANDS or command == name:
-            add_arguments(subparser)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: "list[str]") -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        # the parser add_parser builds, to which the full one hands argv[1:];
+        # a token it leaves is the full parser's top-level error to report
+        parser = argparse.ArgumentParser(prog=f"qpositivity {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: "list[str] | None" = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argparse's command is this token, or a dash token it takes as positional
-    # (-1, -), which it refuses as a command before any subparser parses
-    command = next((token for token in argv if not token.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = _parse_args(argv)
     handler = _COMMANDS[args.command][2]
     try:
         return handler(args, list(argv))

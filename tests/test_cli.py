@@ -1,5 +1,6 @@
 """Command line behavior: parsing, formats, exit codes, checkpoints."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -487,8 +488,9 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
 
 
 # ---------------------------------------------------------------------------
-# main builds the arguments of the invoked subcommand only: every argv must
-# end as it does with the full parser, in exit code, stdout and stderr.
+# main parses a command-first argv with that subcommand's parser alone: every
+# argv must end as it does with the full parser, in exit code, stdout and
+# stderr.
 
 
 #: The timings in check and sweep output, which differ from run to run.
@@ -502,12 +504,15 @@ def _outcome(argv):
     return code, _TIMINGS.sub(r"\1T", out.getvalue()), err.getvalue()
 
 
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
 def _assert_parity(argv):
-    full_parser = cli.build_parser
     # a fixed width keeps help and usage text independent of the terminal
     with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
         shipped = _outcome(argv)
-        with mock.patch.object(cli, "build_parser", lambda command=None: full_parser()):
+        with mock.patch.object(cli, "_parse_args", _full_parse):
             full = _outcome(argv)
     assert shipped == full, argv
 
@@ -529,6 +534,12 @@ PARITY_ARGV = [
     ["check", "11", "3", "2", "--expand"],
     ["sweep", "conjecture1", "--n-max", "6", "--jobs", "1"],
     ["reproduce", "remark25"],
+    # the subcommand's parser leaves a token, or refuses one itself
+    ["check", "11", "3", "2", "--bogus"],
+    ["check", "11", "3", "2", "--version"],
+    ["sweep", "conjecture1", "--n-max", "6", "--jobs", "1", "stray"],
+    ["reproduce", "remark25", "--format", "xml"],
+    ["check", "--format", "json", "11", "3", "2", "-h"],
 ]
 
 
@@ -577,6 +588,31 @@ def test_main_builds_the_invoked_subcommands_arguments_only(monkeypatch, capsys)
     monkeypatch.setattr(cli, "_COMMANDS", sweep_only)
     assert run_cli(["sweep", "conjecture1", "--n-max", "6", "--jobs", "1"]) == 0
     assert "examined 5, polynomial 1, violations 0" in capsys.readouterr().out
+
+
+# the full tree: the top-level parser and one per subcommand
+_FULL_TREE = 1 + len(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["check", "11", "3", "2", "--expand"], 1),
+    (["--version"], _FULL_TREE),
+    ([], _FULL_TREE),
+    # the check parser leaves --bogus, so the full tree parses again
+    (["check", "11", "3", "2", "--bogus"], 1 + _FULL_TREE),
+], ids=["check", "version", "empty", "leftover"])
+def test_main_builds_one_parser_for_a_command_first_argv(monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run_cli(argv)
+    assert len(built) == parsers, built
 
 
 # ---------------------------------------------------------------------------
