@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .harness import (
@@ -70,10 +71,8 @@ def _document(command: "list[str]", **payload) -> dict:
     return doc
 
 
-def _result_json(result: CheckResult) -> dict:
-    d = result.to_dict(canonical=True)
-    d["elapsed_ms"] = _ms(result.elapsed)
-    return d
+def _result_json(result: CheckResult, seconds: float = 0.0) -> dict:
+    return {**result.to_dict(), "elapsed_ms": _ms(seconds)}
 
 
 def _coeff_list(coeffs) -> str:
@@ -177,9 +176,13 @@ def cmd_check(args, command: "list[str]") -> int:
         specs = _load_batch(args.batch)
     else:
         specs = [_parse_check_spec(args.spec, args.fake_gaussian)]
-    results = [_verify(s, args.expand, args.properties) for s in specs]
+    results, seconds = [], []
+    for spec in specs:
+        started = time.perf_counter()
+        results.append(_verify(spec, args.expand, args.properties))
+        seconds.append(time.perf_counter() - started)
     if args.format == "json":
-        doc = _document(command, results=[_result_json(r) for r in results])
+        doc = _document(command, results=list(map(_result_json, results, seconds)))
         print(json.dumps(doc))
     else:
         for result in results:

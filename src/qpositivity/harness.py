@@ -71,7 +71,8 @@ class CheckpointMismatch(RuntimeError):
 
 @dataclasses.dataclass
 class CheckResult:
-    """Outcome of verifying a single spec.
+    """Outcome of verifying a single spec: what was decided, never how
+    long it took, so equal inputs give equal results.
 
     verdict is VIOLATION when the expression is a polynomial with some
     negative coefficient, or when two routes disagree on it; note then
@@ -85,12 +86,11 @@ class CheckResult:
     is_polynomial: bool
     verdict: str
     properties: "PropertyRecord | None" = None
-    elapsed: float = 0.0
     note: "str | None" = None
     expansion: "IntPolynomial | None" = None
 
-    def to_dict(self, canonical: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "spec": _spec_to_dict(self.spec),
             "normalized_spec": _spec_to_dict(self.normalized_spec),
             "is_polynomial": self.is_polynomial,
@@ -99,9 +99,6 @@ class CheckResult:
             "note": self.note,
             "expansion": list(self.expansion.coeffs) if self.expansion else None,
         }
-        if not canonical:
-            d["elapsed"] = self.elapsed
-        return d
 
 
 @dataclasses.dataclass
@@ -110,7 +107,8 @@ class SweepReport:
 
     Deterministic for fixed parameters and seed regardless of worker
     count; wall_time is informational and excluded from the canonical
-    serialized form.
+    serialized form.  The canonical switch stays while perfbench's
+    workloads still call to_dict(canonical=True).
     """
 
     sweep_id: str
@@ -128,7 +126,7 @@ class SweepReport:
             "params": dict(self.params),
             "seed": self.seed,
             "counts": dict(self.counts),
-            "violations": [v.to_dict(canonical=True) for v in self.violations],
+            "violations": [v.to_dict() for v in self.violations],
             "cursor": self.cursor,
         }
         if not canonical:
@@ -203,14 +201,9 @@ def _polynomial_verdict(
 def _verify_expression(
     spec, normalized_spec, expr: FactoredQExpression, properties: bool, keep_expansion: bool
 ) -> CheckResult:
-    started = time.perf_counter()
     if is_polynomial(expr):
-        p = expand(expr)
-        result = _polynomial_verdict(spec, normalized_spec, p, properties, keep_expansion)
-    else:
-        result = CheckResult(spec, normalized_spec, False, VERDICT_NOT_POLYNOMIAL)
-    result.elapsed = time.perf_counter() - started
-    return result
+        return _polynomial_verdict(spec, normalized_spec, expand(expr), properties, keep_expansion)
+    return CheckResult(spec, normalized_spec, False, VERDICT_NOT_POLYNOMIAL)
 
 
 def verify_quotient(
@@ -283,9 +276,9 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
     violations this build derives.  Format, sweep and params are compared
     before anything runs, then the cursor must be 0 or end a unit.  The
     counts sum recount(task), a unit's cheap (examined, polynomial), over
-    the passed units (unit_fn(task) without a recount).  The passed units
-    that the stored [unit cursor, record] pairs name run again for the
-    violations; a passed unit that no pair names is trusted as clean.
+    the passed units.  The passed units that the stored [unit cursor,
+    record] pairs name run again for the violations; a passed unit that no
+    pair names is trusted as clean.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     data = _load_checkpoint(path) if resume else None
@@ -308,7 +301,6 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
     violations = [
         (c, v) for c, task in units if c <= cursor and c in named for v in unit_fn(task)[2]
     ]
-    recount = recount or (lambda task: unit_fn(task)[:2])
     passed = zip((0, 0), *(recount(task) for c, task in units if c <= cursor))
     examined, polynomial = map(sum, passed)
     counts = {"examined": examined, "polynomial": polynomial, "violations": len(violations)}
@@ -330,7 +322,7 @@ def _checkpoint_payload(sweep_id, params, cursor, counts, violations) -> dict:
         "params": params,
         "cursor": cursor,
         "counts": dict(counts),
-        "violations": [[c, v.to_dict(canonical=True)] for c, v in violations],
+        "violations": [[c, v.to_dict()] for c, v in violations],
     }
 
 
@@ -367,11 +359,12 @@ def _run_units(
     violations); the results are merged in unit order, whatever the worker
     count, and the checkpoint, which stores each violation with its unit's
     cursor, is rewritten after every merged unit.  resume needs a
-    checkpoint; a missing file starts fresh.  A checkpoint resumes only if
-    it equals the payload this build derives at its cursor: the units its
-    violations name run again, and the other passed units are trusted as
-    clean (see _resume_state).  The report's seed is params["seed"], None
-    for a sweep that draws nothing.
+    checkpoint, and a recount(task) that gives a unit's (examined,
+    polynomial) without running it; a missing file starts fresh.  A
+    checkpoint resumes only if it equals the payload this build derives at
+    its cursor: the units its violations name run again, and the other
+    passed units are trusted as clean (see _resume_state).  The report's
+    seed is params["seed"], None for a sweep that draws nothing.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -519,7 +512,6 @@ def _fake_gaussian_unit(task):
             polynomial += 1
         if result.verdict == VERDICT_VIOLATION:
             result.note = f"sample {index}"
-            result.elapsed = 0.0  # stored records must not depend on timing
             violations.append(result)
     return examined, polynomial, violations
 

@@ -20,6 +20,7 @@ from qpositivity import cli
 from qpositivity.cli import build_parser, main
 from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import NotDivisible
+from test_harness import _conjecture1_wrong_at_34, _fake_gaussian_flaky_expand
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
 
@@ -99,6 +100,40 @@ def test_check_batch(tmp_path, capsys):
     batch.write_text("11 3 2\n1 " + STANTON + "\n")
     assert run_cli(["check", "--batch", str(batch)]) == 3
     capsys.readouterr()
+
+
+#: a CheckResult's canonical keys, then the CLI's own timing
+_RESULT_KEYS = ["spec", "normalized_spec", "is_polynomial", "verdict", "properties", "note",
+                "expansion", "elapsed_ms"]
+
+
+def test_check_batch_json_times_each_spec(tmp_path, capsys):
+    batch = tmp_path / "specs.txt"
+    batch.write_text("11 3 2\n12 2 1\n1 " + STANTON + "\n")
+    assert run_cli(["check", "--batch", str(batch), "--format", "json"]) == 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["verdict"] for r in results] == [
+        "polynomial-nonnegative", "not-polynomial", "VIOLATION"
+    ]
+    for result in results:
+        assert list(result) == _RESULT_KEYS
+        assert type(result["elapsed_ms"]) is int and result["elapsed_ms"] >= 0
+
+
+@pytest.mark.parametrize("setup, argv", [
+    (_conjecture1_wrong_at_34, ["conjecture1", "--n-max", "40"]),
+    (_fake_gaussian_flaky_expand,
+     ["fake-gaussian", "--template", "aa", "--seed", "1", "--samples", "30", "--m-span", "30"]),
+], ids=["conjecture1", "fake-gaussian"])
+def test_sweep_json_violations_carry_zero_elapsed_ms(monkeypatch, capsys, setup, argv):
+    setup(monkeypatch)
+    assert run_cli(["sweep", *argv, "--jobs", "1", "--format", "json"]) == 3
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    violations = [line["result"] for line in lines if line["event"] == "violation"]
+    assert violations
+    for violation in violations:
+        assert list(violation) == _RESULT_KEYS
+        assert type(violation["elapsed_ms"]) is int and violation["elapsed_ms"] == 0
 
 
 def test_check_batch_bad_line(tmp_path, capsys):
@@ -386,7 +421,7 @@ def test_sweep_fake_gaussian_checkpoint_undrawn_violation_refused(tmp_path, caps
     # the Stanton m=1 violation is no sample of aa, seed 1
     violation = qpositivity.harness.verify_fake_gaussian(
         FakeGaussianSpec(1, qpositivity.harness.STANTON_SEQUENCE)
-    ).to_dict(canonical=True)
+    ).to_dict()
     ckpt = tmp_path / "fg.ckpt"
     ckpt.write_text(json.dumps({
         "format": qpositivity.harness.CHECKPOINT_FORMAT, "sweep": "fake-gaussian",

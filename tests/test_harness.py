@@ -1,7 +1,6 @@
 """Verification entry points, sweeps, checkpoints, and reproductions."""
 
 import doctest
-import functools
 import hashlib
 import json
 import multiprocessing
@@ -34,10 +33,8 @@ from qpositivity.harness import (
 )
 from qpositivity.harness import (
     _conjecture1_unit,
-    _corollary10_unit,
     _polynomial_ls,
     _polynomial_verdict,
-    _run_units,
     _sample_spec,
 )
 from qpositivity.qexpr import (
@@ -273,7 +270,7 @@ def test_negative_coefficient_in_a_lower_half_is_reported_as_expanded(monkeypatc
     assert sum(lower) == sum(untouched) and lower[1] == -5
     p = mirror_lower_half(lower, degree)
     expected = _polynomial_verdict(spec, spec, p, properties=False, keep_expansion=False)
-    assert [v.to_dict(canonical=True) for v in violations] == [expected.to_dict(canonical=True)]
+    assert [v.to_dict() for v in violations] == [expected.to_dict()]
     assert violations[0].verdict == "VIOLATION"
     assert violations[0].properties == property_record(p)
     assert violations[0].properties.first_negative == (1, -5)
@@ -592,21 +589,6 @@ def test_fake_gaussian_checkpoint_counts_are_rederived(tmp_path, edit):
         sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), resume=True)
 
 
-def test_counts_without_a_recount_are_derived_by_running_the_passed_units(tmp_path):
-    path = tmp_path / "c10.ckpt"
-    units = [(n, n) for n in range(1, 4)]
-    run = functools.partial(_run_units, "corollary10", {"n_max": 3}, units, _corollary10_unit,
-                            checkpoint=str(path))
-    run(stop_after=2)
-    payload = json.loads(path.read_text())
-    assert payload["counts"] == {"examined": 2, "polynomial": 2, "violations": 0}
-    assert run(resume=True).counts == {"examined": 3, "polynomial": 3, "violations": 0}
-    payload["counts"]["polynomial"] = 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointMismatch, match="does not derive"):
-        run(resume=True)
-
-
 def test_sweep_checkpoint_mismatch_refused(tmp_path):
     path = str(tmp_path / "c1.ckpt")
     sweep_conjecture1(20, checkpoint=path, stop_after=3)
@@ -652,14 +634,12 @@ _FG_PARAMS = {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "
 
 _VIOLATION = CheckResult(
     QuotientSpec(6, 3, 1), QuotientSpec(6, 3, 1), True, "VIOLATION"
-).to_dict(canonical=True)
+).to_dict()
 
 _PROPERTIES = {"nonnegative": False, "first_negative": [1, -1], "reciprocal": True,
                "unimodal": False, "parity_unimodal": False, "order": 0, "degree": 2}
 
-_STANTON_VIOLATION = verify_fake_gaussian(
-    FakeGaussianSpec(1, STANTON_SEQUENCE)
-).to_dict(canonical=True)
+_STANTON_VIOLATION = verify_fake_gaussian(FakeGaussianSpec(1, STANTON_SEQUENCE)).to_dict()
 
 #: (id, field, value): a restored violation's field that a checkpoint of
 #: the conjecture1 sweep cannot have written.
@@ -830,7 +810,7 @@ def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)["violations"]
     # each violation is stored with the cursor of the unit that recorded it
-    assert [v for _, v in stored] == [v.to_dict(canonical=True) for v in partial.violations]
+    assert [v for _, v in stored] == [v.to_dict() for v in partial.violations]
     assert {unit for unit, _ in stored} == units
     resumed = run(checkpoint=path, resume=True)
     plain = run()
@@ -1204,10 +1184,20 @@ def test_reproduce_corollary10():
 # serialization
 
 
+@pytest.mark.parametrize("verify", [
+    lambda: verify_quotient(QuotientSpec(40, 13, 7), properties=True, keep_expansion=True),
+    lambda: verify_fake_gaussian(FakeGaussianSpec(1, STANTON_SEQUENCE)),
+], ids=["quotient", "stanton"])
+def test_a_verdict_is_a_value(verify):
+    # a result records what was decided, not how long it took
+    first, second = verify(), verify()
+    assert first == second
+    assert not {"elapsed", "elapsed_ms"} & first.to_dict().keys()
+
+
 def test_canonical_forms_exclude_timing():
     r = verify_quotient(QuotientSpec(11, 3, 2))
-    assert "elapsed" in r.to_dict()
-    assert "elapsed" not in r.to_dict(canonical=True)
+    assert "elapsed" not in r.to_dict()
     report = sweep_conjecture1(8)
     assert "wall_time" in report.to_dict()
     assert "wall_time" not in report.to_dict(canonical=True)
