@@ -52,10 +52,6 @@ DESK_N_MAX = 150
 CHECKPOINT_DIR_ENV = "QPOSITIVITY_CHECKPOINT_DIR"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _ms(seconds: float) -> int:
     return int(round(seconds * 1000))
 
@@ -90,24 +86,24 @@ def _parse_sequence(text: str) -> "tuple[int, ...]":
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"bad exponent sequence {text!r}; expected e.g. 1,3,1")
+        raise ValueError(f"bad exponent sequence {text!r}; expected e.g. 1,3,1")
 
 
 def _parse_check_spec(tokens: "list[str]", fake: bool):
     if fake:
         if len(tokens) != 2:
-            raise UsageError("--fake-gaussian expects: m a1,a2,...")
+            raise ValueError("--fake-gaussian expects: m a1,a2,...")
         try:
             m = int(tokens[0])
         except ValueError:
-            raise UsageError(f"bad m {tokens[0]!r}")
+            raise ValueError(f"bad m {tokens[0]!r}")
         return FakeGaussianSpec(m, _parse_sequence(tokens[1]))
     if len(tokens) != 3:
-        raise UsageError("check expects: n k l  (or --fake-gaussian m a1,a2,...)")
+        raise ValueError("check expects: n k l  (or --fake-gaussian m a1,a2,...)")
     try:
         n, k, l = (int(t) for t in tokens)
     except ValueError:
-        raise UsageError(f"bad quotient spec {' '.join(tokens)!r}")
+        raise ValueError(f"bad quotient spec {' '.join(tokens)!r}")
     return QuotientSpec(n, k, l)
 
 
@@ -117,7 +113,7 @@ def _parse_batch_line(line: str, lineno: int):
         return _parse_check_spec(tokens, fake=False)
     if len(tokens) == 2:
         return _parse_check_spec(tokens, fake=True)
-    raise UsageError(f"line {lineno}: expected 'n k l' or 'm a1,a2,...', got {line!r}")
+    raise ValueError(f"line {lineno}: expected 'n k l' or 'm a1,a2,...', got {line!r}")
 
 
 def _load_batch(path: str):
@@ -130,9 +126,9 @@ def _load_batch(path: str):
                     continue
                 specs.append(_parse_batch_line(line, lineno))
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read batch file: {exc}")
+        raise ValueError(f"cannot read batch file: {exc}")
     if not specs:
-        raise UsageError(f"batch file {path} holds no spec")
+        raise ValueError(f"batch file {path} holds no spec")
     return specs
 
 
@@ -172,7 +168,7 @@ def _print_check_text(result: CheckResult, expand_flag: bool) -> None:
 def cmd_check(args, command: "list[str]") -> int:
     if args.batch:
         if args.spec:
-            raise UsageError("--batch and an inline spec are mutually exclusive")
+            raise ValueError("--batch and an inline spec are mutually exclusive")
         specs = _load_batch(args.batch)
     else:
         specs = [_parse_check_spec(args.spec, args.fake_gaussian)]
@@ -212,7 +208,7 @@ def _print_sweep_jsonl(report: SweepReport, command: "list[str]") -> None:
         event="begin",
         sweep=report.sweep_id,
         params=report.params,
-        seed=report.seed,
+        seed=report.params.get("seed"),
     )
     print(json.dumps(begin))
     for violation in report.violations:
@@ -230,9 +226,9 @@ def cmd_sweep(args, command: "list[str]") -> int:
     checkpoint = _resolve_checkpoint(args.checkpoint)
     if args.family == "conjecture1":
         if args.n_max is None:
-            raise UsageError("sweep conjecture1 requires --n-max")
+            raise ValueError("sweep conjecture1 requires --n-max")
         if args.n_max > DESK_N_MAX and not args.long_run:
-            raise UsageError(
+            raise ValueError(
                 f"--n-max {args.n_max} exceeds the desk bound {DESK_N_MAX}; "
                 "pass --long-run to confirm"
             )
@@ -245,7 +241,7 @@ def cmd_sweep(args, command: "list[str]") -> int:
         )
     else:
         if args.samples is None:
-            raise UsageError("sweep fake-gaussian requires --samples")
+            raise ValueError("sweep fake-gaussian requires --samples")
         report = sweep_fake_gaussian(
             args.template,
             seed=args.seed,
@@ -402,13 +398,10 @@ def main(argv: "list[str] | None" = None) -> int:
     handler = _COMMANDS[args.command][2]
     try:
         return handler(args, list(argv))
-    except (UsageError, ValueError) as exc:  # ValueError: a library parameter out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CheckpointMismatch as exc:
         print(f"refusing to resume: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a bad argument or parameter, an I/O failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,7 @@ import math
 import os
 import time
 
-from .analysis import PropertyRecord, nonnegativity, property_record
+from .analysis import PropertyRecord, is_reciprocal, nonnegativity, property_record
 from .criteria import (
     Lemma6Variant,
     corollary10_expression,
@@ -113,7 +113,6 @@ class SweepReport:
 
     sweep_id: str
     params: dict
-    seed: "int | None"
     counts: dict
     violations: list
     cursor: int
@@ -124,7 +123,7 @@ class SweepReport:
             "schema": REPORT_SCHEMA,
             "sweep": self.sweep_id,
             "params": dict(self.params),
-            "seed": self.seed,
+            "seed": self.params.get("seed"),
             "counts": dict(self.counts),
             "violations": [v.to_dict() for v in self.violations],
             "cursor": self.cursor,
@@ -253,9 +252,7 @@ def _write_checkpoint(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path: str) -> "dict | None":
-    if not os.path.exists(path):
-        return None
+def _load_checkpoint(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -281,9 +278,9 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
     pair names is trusted as clean.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
-    data = _load_checkpoint(path) if resume else None
-    if data is None:
+    if not (resume and os.path.exists(path)):
         return 0, counts, []
+    data = _load_checkpoint(path)
     stored = _canonical_fields(data) if isinstance(data, dict) else {}
     expected = _canonical_fields(_checkpoint_payload(sweep_id, params, 0, counts, []))
     header = [k for k in ("format", "sweep", "params") if stored.get(k) != expected[k]]
@@ -363,8 +360,7 @@ def _run_units(
     polynomial) without running it; a missing file starts fresh.  A
     checkpoint resumes only if it equals the payload this build derives at
     its cursor: the units its violations name run again, and the other
-    passed units are trusted as clean (see _resume_state).  The report's
-    seed is params["seed"], None for a sweep that draws nothing.
+    passed units are trusted as clean (see _resume_state).
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -395,7 +391,6 @@ def _run_units(
     return SweepReport(
         sweep_id=sweep_id,
         params=params,
-        seed=params.get("seed"),
         counts=counts,
         violations=[v for _, v in violations],
         cursor=cursor,
@@ -733,8 +728,7 @@ def reproduce_lemma6(k_max: int, m_max: int) -> "tuple[list[dict], bool]":
                     row["B"] = None
                     continue
                 p = expand(lemma6_expression(K, M, variant))
-                good = p is not NotDivisible and min(p.coeffs) >= 0
-                good = good and p.coeffs == p.coeffs[::-1]
+                good = p is not NotDivisible and nonnegativity(p)[0] and is_reciprocal(p)
                 if variant is Lemma6Variant.VariantA:
                     good = good and p.degree == degree
                 row["A" if variant is Lemma6Variant.VariantA else "B"] = good

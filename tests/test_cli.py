@@ -2,13 +2,16 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -18,8 +21,9 @@ from hypothesis import strategies as st
 import qpositivity.harness
 from qpositivity import cli
 from qpositivity.cli import build_parser, main
+from qpositivity.harness import canonical_json
 from qpositivity.qexpr import FakeGaussianSpec
-from qpositivity.qpoly import NotDivisible
+from qpositivity.qpoly import IntPolynomial, NotDivisible
 from test_harness import _conjecture1_wrong_at_34, _fake_gaussian_flaky_expand
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
@@ -120,14 +124,22 @@ def test_check_batch_json_times_each_spec(tmp_path, capsys):
         assert type(result["elapsed_ms"]) is int and result["elapsed_ms"] >= 0
 
 
-@pytest.mark.parametrize("setup, argv", [
-    (_conjecture1_wrong_at_34, ["conjecture1", "--n-max", "40"]),
-    (_fake_gaussian_flaky_expand,
-     ["fake-gaussian", "--template", "aa", "--seed", "1", "--samples", "30", "--m-span", "30"]),
-], ids=["conjecture1", "fake-gaussian"])
-def test_sweep_json_violations_carry_zero_elapsed_ms(monkeypatch, capsys, setup, argv):
+#: sweep -> (its patch from test_harness, under which the sweep records
+#: genuine violations, and the sweep's argv)
+_VIOLATING_SWEEPS = {
+    "conjecture1": (_conjecture1_wrong_at_34,
+                    ["sweep", "conjecture1", "--n-max", "40", "--jobs", "1"]),
+    "fake-gaussian": (_fake_gaussian_flaky_expand,
+                      ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1",
+                       "--samples", "30", "--m-span", "30", "--jobs", "1"]),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_VIOLATING_SWEEPS))
+def test_sweep_json_violations_carry_zero_elapsed_ms(monkeypatch, capsys, sweep):
+    setup, argv = _VIOLATING_SWEEPS[sweep]
     setup(monkeypatch)
-    assert run_cli(["sweep", *argv, "--jobs", "1", "--format", "json"]) == 3
+    assert run_cli([*argv, "--format", "json"]) == 3
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     violations = [line["result"] for line in lines if line["event"] == "violation"]
     assert violations
@@ -242,6 +254,20 @@ def test_reproduce_lemma6(capsys):
     out = capsys.readouterr().out
     assert "K=2 M=0 degree=42 order_bound=32 A=ok B=-" in out
     assert "K=3 M=0 degree=132 order_bound=94 A=ok B=ok" in out
+
+
+@pytest.mark.parametrize(
+    "expansion", [NotDivisible, IntPolynomial([1, -1, 1]), IntPolynomial([1, 2])],
+    ids=["refused", "negative", "not-a-palindrome"],
+)
+def test_reproduce_lemma6_fails_each_bad_expansion(expansion, monkeypatch, capsys):
+    # variant B has no degree check: its cells fail on the expansion alone
+    monkeypatch.setattr(qpositivity.harness, "expand", lambda expr: expansion)
+    argv = ["reproduce", "lemma6", "--k-max", "3", "--m-max", "1", "--format", "json"]
+    assert run_cli(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert [(r["A"], r["B"]) for r in doc["rows"]] == [(False, None)] * 2 + [(False, False)] * 2
 
 
 #: Bounds of the pinned table reproductions.
@@ -496,6 +522,136 @@ def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
     assert "refusing to resume" in capsys.readouterr().err
 
 
+class _Patches(contextlib.ExitStack):
+    """monkeypatch's setattr by mock.patch.object, undone on exit, for the
+    test_harness patches inside a Hypothesis test."""
+
+    def setattr(self, target, name, value):
+        self.enter_context(mock.patch.object(target, name, value))
+
+
+def _run_quiet(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: genuine checkpoints: (the patch the sweep runs under or None, its argv,
+#: the units to run); the patched ones hold violations, the others none
+_GENUINE_CHECKPOINTS = [
+    (None, _VIOLATING_SWEEPS["conjecture1"][1], 10),
+    (_conjecture1_wrong_at_34, _VIOLATING_SWEEPS["conjecture1"][1], 34),
+    (None, _VIOLATING_SWEEPS["fake-gaussian"][1], 1),
+    (_fake_gaussian_flaky_expand, _VIOLATING_SWEEPS["fake-gaussian"][1], 2),
+]
+
+#: any JSON value; floats include NaN and the infinities, which json reads back
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: stands in for a deep nesting until json.dumps has written the rest
+_NEST = "\0nest\0"
+
+
+def _paths(node, path=()):
+    """The path of node and of each value inside it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, (*path, key))
+
+
+def _at(node, path):
+    return functools.reduce(operator.getitem, path, node)
+
+
+def _edited(payload, data):
+    """payload after one drawn edit, as file text, and whether it is still
+    payload as canonical JSON."""
+    root = [json.loads(json.dumps(payload))]
+    edit = data.draw(st.sampled_from(["value", "delete", "add", "wrap", "nest"]))
+    paths = [(0, *path) for path in _paths(payload)]
+    if edit == "delete":
+        paths = paths[1:]
+    elif edit == "add":
+        paths = [path for path in paths if isinstance(_at(root, path), dict)]
+    *up, key = data.draw(st.sampled_from(paths))
+    parent = _at(root, up)
+    if edit == "value":
+        parent[key] = data.draw(_JSON_VALUES)
+    elif edit == "delete":
+        del parent[key]
+    elif edit == "add":
+        parent[key][data.draw(st.text(max_size=4))] = data.draw(_JSON_VALUES)
+    elif edit == "wrap":
+        parent[key] = [parent[key]]
+    else:
+        # spliced into the text: json.dumps refuses a nesting past the
+        # recursion limit
+        depth = data.draw(st.integers(2, 3000))
+        nested = "[" * depth + json.dumps(parent[key]) + "]" * depth
+        parent[key] = _NEST
+        return json.dumps(root[0]).replace(json.dumps(_NEST), nested), False
+    text = json.dumps(root[0])
+    return text, canonical_json(root[0]) == canonical_json(payload)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_edited_checkpoint_is_refused(data):
+    setup, argv, stop_after = data.draw(st.sampled_from(_GENUINE_CHECKPOINTS))
+    with _Patches() as patches, tempfile.TemporaryDirectory() as tmp:
+        if setup:
+            setup(patches)
+        argv = [*argv, "--checkpoint", os.path.join(tmp, "ckpt")]
+        _run_quiet([*argv, "--stop-after", str(stop_after)])
+        with open(argv[-1], encoding="utf-8") as fh:
+            text, unchanged = _edited(json.load(fh), data)
+        with open(argv[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = _run_quiet([*argv, "--resume"])
+    if unchanged:
+        assert code in (0, 3) and err == ""
+    else:
+        assert code == 2 and out == "", (code, text)
+        assert err.startswith("refusing to resume"), err
+
+
+@pytest.mark.parametrize("sweep, stop_after, units", [
+    ("conjecture1", 34, {34}), ("fake-gaussian", 2, {5}), ("fake-gaussian", 2, {10}),
+    ("fake-gaussian", 2, {5, 10}),
+])
+def test_checkpoint_without_a_units_violations_and_their_count_resumes(
+    tmp_path, monkeypatch, sweep, stop_after, units
+):
+    # README: a passed unit that the file names no violation for is trusted
+    # as clean, so its violations deleted with their count go unnoticed
+    setup, argv = _VIOLATING_SWEEPS[sweep]
+    setup(monkeypatch)
+    argv = [*argv, "--format", "json"]
+    plain = json.loads(_run_quiet(argv)[1].splitlines()[-1])["counts"]
+    ckpt = tmp_path / "ckpt"
+    argv += ["--checkpoint", str(ckpt)]
+    assert _run_quiet([*argv, "--stop-after", str(stop_after)])[0] == 3
+    payload = json.loads(ckpt.read_text())
+    kept = [pair for pair in payload["violations"] if pair[0] not in units]
+    deleted = len(payload["violations"]) - len(kept)
+    payload["violations"] = kept
+    payload["counts"]["violations"] -= deleted
+    ckpt.write_text(json.dumps(payload))
+    code, out, err = _run_quiet([*argv, "--resume"])
+    counts = json.loads(out.splitlines()[-1])["counts"]
+    assert err == "" and deleted
+    assert counts == {**plain, "violations": plain["violations"] - deleted}
+    assert code == (3 if counts["violations"] else 0)
+
+
 def test_sweep_jobs_default_to_the_cpus_the_process_may_run_on(monkeypatch):
     def default_jobs():
         return build_parser().parse_args(["sweep", "conjecture1"]).jobs
@@ -520,6 +676,19 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # the modules are the API; the package root holds only its version
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qpositivity; print(qpositivity.__version__, "
+         "[m for m in sys.modules if m.startswith('qpositivity.')])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.1.0 []\n"
 
 
 # ---------------------------------------------------------------------------

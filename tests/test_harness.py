@@ -663,6 +663,7 @@ _BAD_VIOLATION_FIELDS = [
     "payload",
     [
         [1, 2],
+        None,
         {"cursor": "6", "counts": {"examined": 0, "polynomial": 0, "violations": 0},
          "violations": []},
         {"counts": {"examined": 0}, "violations": []},
@@ -693,7 +694,7 @@ _BAD_VIOLATION_FIELDS = [
            "violations": [[6, {**_VIOLATION, field: value}]]}
           for _, field, value in _BAD_VIOLATION_FIELDS),
     ],
-    ids=["not-an-object", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
+    ids=["not-an-object", "null", "bad-cursor", "short-counts", "bad-counts", "bad-violation",
          "count-not-an-int", "negative-count", "uncounted-violation", "negative-cursor",
          "cursor-past-the-end", "spec-field-not-an-int", "expansion-not-ints",
          "violation-past-the-cursor", "violation-without-its-unit",
@@ -1056,7 +1057,7 @@ def test_sweep_fake_gaussian_worker_determinism(monkeypatch):
     )
     assert single.counts["examined"] == 240
     assert single.cursor == 240
-    assert single.seed == 7
+    assert single.params["seed"] == 7
 
 
 def test_sweep_fake_gaussian_resume(tmp_path, monkeypatch):
