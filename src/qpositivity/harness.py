@@ -20,6 +20,7 @@ import json
 import math
 import os
 import time
+from operator import add
 
 from .analysis import PropertyRecord, is_reciprocal, nonnegativity, property_record
 from .criteria import (
@@ -37,6 +38,7 @@ from .qexpr import (
     QuotientSpec,
     column_negative_exponents,
     expand,
+    fake_gaussian_expansions,
     from_factorials,
     from_fake_gaussian,
     from_quotient_spec,
@@ -45,7 +47,7 @@ from .qexpr import (
     quotient_expansions,
     quotient_lower_halves,
 )
-from .qpoly import IntPolynomial, NotDivisible, poly_mul
+from .qpoly import IntPolynomial, NotDivisible
 
 CHECKPOINT_FORMAT = "qpositivity-checkpoint/2"
 REPORT_SCHEMA = "qpositivity-report/1"
@@ -198,10 +200,15 @@ def _polynomial_verdict(
 
 
 def _verify_expression(
-    spec, normalized_spec, expr: FactoredQExpression, properties: bool, keep_expansion: bool
+    spec, normalized_spec, expr: FactoredQExpression, properties: bool, keep_expansion: bool,
+    p=None,
 ) -> CheckResult:
+    """Not a polynomial by the divisor profile, or else _polynomial_verdict
+    on expr's expansion p, which expand gives when p is None."""
     if is_polynomial(expr):
-        return _polynomial_verdict(spec, normalized_spec, expand(expr), properties, keep_expansion)
+        if p is None:
+            p = expand(expr)
+        return _polynomial_verdict(spec, normalized_spec, p, properties, keep_expansion)
     return CheckResult(spec, normalized_spec, False, VERDICT_NOT_POLYNOMIAL)
 
 
@@ -656,14 +663,18 @@ def reproduce_stanton(m_max: int = 50) -> "list[CheckResult]":
 
     m=1 is the known positivity violation (coefficient -1 at q^7); each
     m >= 2 in the tested range expands to a nonnegative polynomial.
-    Nothing is asserted beyond the tested bound.
+    Nothing is asserted beyond the tested bound.  The expansions come off
+    one chain in m (fake_gaussian_expansions), each judged as
+    verify_fake_gaussian judges it: the divisor profile first, then the
+    expansion's verdict.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    return [
-        verify_fake_gaussian(FakeGaussianSpec(m, STANTON_SEQUENCE))
-        for m in range(1, m_max + 1)
-    ]
+    results = []
+    for m, p in fake_gaussian_expansions(STANTON_SEQUENCE, m_max):
+        spec = FakeGaussianSpec(m, STANTON_SEQUENCE)
+        results.append(_verify_expression(spec, spec, from_fake_gaussian(spec), False, False, p))
+    return results
 
 
 def remark25_table() -> "tuple[list[dict], bool]":
@@ -737,10 +748,6 @@ def reproduce_lemma6(k_max: int, m_max: int) -> "tuple[list[dict], bool]":
     return rows, ok
 
 
-def _one_plus_q_power(j: int) -> IntPolynomial:
-    return IntPolynomial((1,) + (0,) * (j - 1) + (1,))
-
-
 def reproduce_corollary10(n_max: int) -> SweepReport:
     """Expand the even/odd quotient for n <= n_max and cross-check the route.
 
@@ -769,10 +776,12 @@ def _corollary10_unit(n: int):
         if base is NotDivisible:
             note = "companion quotient is not a polynomial"
         else:
-            via = base.substitute_q_power(2)
+            # times (1+q^j) in place: pad by j zeros, then c_i += c_(i-j)
+            via = list(base.substitute_q_power(2).coeffs)
             for j in range(3, 2 * n + 2):
-                via = poly_mul(via, _one_plus_q_power(j))
-            if via != direct:
+                via += [0] * j
+                via[j:] = map(add, via[j:], via)
+            if IntPolynomial(via) != direct:
                 note = "route comparison mismatch"
             elif not nonnegativity(direct)[0]:
                 note = "negative coefficient"

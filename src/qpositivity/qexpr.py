@@ -27,6 +27,12 @@ division, reads every F(n,k,l) of one n off one exact Gaussian row on
 coefficient lists: G(n,k) stepped up k, and at each k multiplied by
 (1-q) .. (1-q^l) and divided by (1-q^n) .. (1-q^(n-l+1)), the first
 division that fails giving NotDivisible.
+
+Stanton's reproduction reads every fake Gaussian product F(m) of one
+exponent sequence off one chain in m: F(m+1) is F(m) multiplied and
+divided by the few (1-q^(m+x)) factors where the sequence changes, and a
+failed division gives NotDivisible, after which the next m is expanded
+afresh.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .qpoly import (
     IntPolynomial,
@@ -371,6 +377,41 @@ def quotient_expansions(n: int, ls):
                 if coeffs is None:
                     break
             yield k, l, NotDivisible if coeffs is None else IntPolynomial(coeffs)
+
+
+def fake_gaussian_expansions(a, m_max: int):
+    """Yield (m, p) for m = 1 .. m_max, p as expand gives it for FakeGaussianSpec(m, a).
+
+    F(m) = prod_i (1-q^(m+i))^(a_i)/(1-q^i)^(a_i) steps up m by
+    F(m+1) = F(m) prod_x (1-q^(m+x))^(a_(x-1) - a_x), x = 1 .. len(a)+1,
+    with a_0 = a_(len(a)+1) = 0: the multiplications first, then the
+    divisions.  When F(m+1) is a polynomial, each partial quotient is F(m+1)
+    times the divisors still to come, so no division fails; otherwise one
+    does, p is NotDivisible, and the next m is expanded afresh.  The first
+    m is expanded afresh too.
+
+    >>> list(fake_gaussian_expansions((0, 1), 3))
+    [(1, NotDivisible), (2, IntPolynomial(1 + q^2)), (3, NotDivisible)]
+    """
+    a = tuple(a)
+    # the exponent of (1-q^(m+x)) in F(m+1)/F(m), x = 1 .. len(a)+1
+    steps = list(enumerate(map(sub, (0, *a), (*a, 0)), start=1))
+    ups = [x for x, e in steps for _ in range(e)]
+    downs = [x for x, e in steps for _ in range(-e)]
+    coeffs = None
+    for m in range(1, m_max + 1):
+        if coeffs is None:
+            p = expand(from_fake_gaussian(FakeGaussianSpec(m, a)))
+            coeffs = None if p is NotDivisible else list(p.coeffs)
+        else:
+            for x in ups:
+                coeffs = _mul_one_minus_qm_list(coeffs, m - 1 + x)
+            for x in downs:
+                coeffs = _div_one_minus_qk_list(coeffs, m - 1 + x)
+                if coeffs is None:
+                    break
+            p = NotDivisible if coeffs is None else IntPolynomial(coeffs)
+        yield m, p
 
 
 def expand_via_cyclotomics(

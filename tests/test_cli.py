@@ -24,7 +24,11 @@ from qpositivity.cli import build_parser, main
 from qpositivity.harness import canonical_json
 from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import IntPolynomial, NotDivisible
-from test_harness import _conjecture1_wrong_at_34, _fake_gaussian_flaky_expand
+from test_harness import (
+    _conjecture1_wrong_at_34,
+    _corollary10_wrong_companion,
+    _fake_gaussian_flaky_expand,
+)
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
 
@@ -300,6 +304,14 @@ def test_reproduce_output_pinned(name, fmt, capsys):
 def test_reproduce_corollary10(capsys):
     assert run_cli(["reproduce", "corollary10", "--n-max", "5"]) == 0
     assert "reproduction ok" in capsys.readouterr().out
+
+
+def test_reproduce_corollary10_exits_3_on_a_route_mismatch(monkeypatch, capsys):
+    _corollary10_wrong_companion(monkeypatch)
+    assert run_cli(["reproduce", "corollary10", "--n-max", "5"]) == 3
+    out = capsys.readouterr().out
+    assert out.count("route comparison mismatch") == 5
+    assert out.endswith("reproduction FAILED\n")
 
 
 def test_reproduce_crosscheck(capsys):

@@ -1130,6 +1130,13 @@ def test_reproduce_stanton_slice():
         reproduce_stanton(0)
 
 
+def test_reproduce_stanton_is_verify_fake_gaussian_on_each_m():
+    # the chain in m gives every result a from-scratch verification gives
+    assert reproduce_stanton(60) == [
+        verify_fake_gaussian(FakeGaussianSpec(m, STANTON_SEQUENCE)) for m in range(1, 61)
+    ]
+
+
 def test_remark25_table(monkeypatch):
     rows, ok = remark25_table()
     assert ok
@@ -1179,6 +1186,23 @@ def test_reproduce_corollary10():
     assert report.cursor == 8
     with pytest.raises(ValueError):
         reproduce_corollary10(0)
+
+
+def _corollary10_wrong_companion(monkeypatch):
+    """Route corollary10 through (3n+2, n+1, 1), a polynomial for every n,
+    instead of the companion quotient (3n+2, n+1, 2)."""
+    real = qpositivity.harness.from_quotient_spec
+    monkeypatch.setattr(qpositivity.harness, "from_quotient_spec",
+                        lambda spec: real(QuotientSpec(spec.n, spec.k, 1)))
+
+
+def test_reproduce_corollary10_catches_a_route_mismatch(monkeypatch):
+    _corollary10_wrong_companion(monkeypatch)
+    report = reproduce_corollary10(8)
+    assert report.counts == {"examined": 8, "polynomial": 8, "violations": 8}
+    assert [v.note for v in report.violations] == [
+        f"row n={n}: route comparison mismatch" for n in range(1, 9)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from qpositivity.qexpr import (
     QuotientSpec,
     expand,
     expand_via_cyclotomics,
+    fake_gaussian_expansions,
     from_factorials,
     from_fake_gaussian,
     from_quotient_spec,
@@ -304,6 +305,21 @@ class TestExpansion:
             (mul, 5), (div, 1), (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5), (div, 4),
             (mul, 4), (div, 2), (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5), (div, 4),
         ]
+        # Stanton's chain in m: m=1 as expand takes it, then per m the
+        # (1 - q^(m-1+x)) steps where the sequence rises (x = 3, 10, 18)
+        # and then where it falls (x = 1, 2, 9)
+        calls.clear()
+        expand(from_fake_gaussian(FakeGaussianSpec(1, STANTON_SEQUENCE)))
+        first = list(calls)
+        calls.clear()
+        assert [p for _, p in fake_gaussian_expansions(STANTON_SEQUENCE, 3)] == [
+            expand(from_fake_gaussian(FakeGaussianSpec(m, STANTON_SEQUENCE))) for m in (1, 2, 3)
+        ]
+        assert calls[: len(first)] == first
+        assert calls[len(first) : len(first) + 16] == [
+            (mul, 4), (mul, 4), (mul, 11), (mul, 19), (div, 2), (div, 3), (div, 3), (div, 10),
+            (mul, 5), (mul, 5), (mul, 12), (mul, 20), (div, 3), (div, 4), (div, 4), (div, 11),
+        ]
 
     def test_gaussian_row_expansions_match_expand(self):
         # every F(n,k,l) the crosscheck reads, against a from-scratch expansion
@@ -316,6 +332,26 @@ class TestExpansion:
                 assert p == expand(from_quotient_spec(QuotientSpec(n, k, l))), (n, k, l)
         # Theorem 8 refuses F(12, 2, 1) = [11]/[2]: gcd(k, n-k) = gcd(2, 10) = 2
         assert list(quotient_expansions(12, [1]))[2] == (2, 1, NotDivisible)
+
+    @pytest.mark.parametrize("a", [
+        STANTON_SEQUENCE, (0, 1), (1,), (), (2, 0, 1), (1, 2, 1), (0, 0, 3), (3, 1, 0, 2),
+    ])
+    def test_fake_gaussian_chain_matches_expand(self, a):
+        got = list(fake_gaussian_expansions(a, 25))
+        assert got == [
+            (m, expand(from_fake_gaussian(FakeGaussianSpec(m, a)))) for m in range(1, 26)
+        ]
+        if a == (0, 1):
+            # [m+2]/[2] is a polynomial for even m only: each odd m fails a
+            # step of the chain, and the next m restarts from expand
+            assert [p is NotDivisible for _, p in got] == [m % 2 == 1 for m in range(1, 26)]
+
+    @given(st.lists(st.integers(0, 3), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_fake_gaussian_chain_matches_expand_on_drawn_sequences(self, a):
+        assert list(fake_gaussian_expansions(a, 25)) == [
+            (m, expand(from_fake_gaussian(FakeGaussianSpec(m, a)))) for m in range(1, 26)
+        ]
 
     def test_polynomial_quotients_are_reciprocal(self):
         # expansions of [l]![n-l]!/([k]![n-k]!) are palindromic
