@@ -71,7 +71,7 @@ class CheckpointMismatch(RuntimeError):
     """Raised when a checkpoint cannot be resumed against the given sweep."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     """Outcome of verifying a single spec: what was decided, never how
     long it took, so equal inputs give equal results.
@@ -513,8 +513,7 @@ def _fake_gaussian_unit(task):
         if result.is_polynomial:
             polynomial += 1
         if result.verdict == VERDICT_VIOLATION:
-            result.note = f"sample {index}"
-            violations.append(result)
+            violations.append(dataclasses.replace(result, note=f"sample {index}"))
     return examined, polynomial, violations
 
 
@@ -776,8 +775,10 @@ def _corollary10_unit(n: int):
         if base is NotDivisible:
             note = "companion quotient is not a polynomial"
         else:
-            # times (1+q^j) in place: pad by j zeros, then c_i += c_(i-j)
-            via = list(base.substitute_q_power(2).coeffs)
+            # base in q^2, then times (1+q^j) in place: pad by j zeros,
+            # then c_i += c_(i-j)
+            via = [0] * (2 * len(base.coeffs) - 1)
+            via[::2] = base.coeffs
             for j in range(3, 2 * n + 2):
                 via += [0] * j
                 via[j:] = map(add, via[j:], via)

@@ -82,20 +82,6 @@ class IntPolynomial:
         """Degree, with the zero polynomial at minus infinity."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def substitute_q_power(self, t: int) -> "IntPolynomial":
-        """The polynomial p(q**t).
-
-        >>> IntPolynomial([1, 2]).substitute_q_power(3)
-        IntPolynomial(1 + 2q^3)
-        """
-        if t < 1:
-            raise ValueError("power must be positive")
-        if not self.coeffs:
-            return IntPolynomial(())
-        out = [0] * ((len(self.coeffs) - 1) * t + 1)
-        out[::t] = self.coeffs
-        return IntPolynomial(out)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -6,7 +6,8 @@ q-Pascal triangle, sums and shifts without a division, the reference of
 the Gaussian binomials that expand and quotient_expansions give;
 add_coeffs is the coefficientwise sum the tests write their sums with;
 cyclotomic_exponent counts one C_d at a time, the reference of the
-exponent profile and of the closed-form exponents of Theorems 8 and 9;
+exponent profile and of the closed-form exponents of Theorems 8 and 9
+in _paper;
 factorial_quotient_factors counts tops for each argument, the reference
 of from_factorials.
 """

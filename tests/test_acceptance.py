@@ -8,6 +8,7 @@ Run with -s to see the lines as they complete.
 import random
 import time
 
+from _paper import thm8_exponent, thm9_exponent
 from _reference import cyclotomic_exponent, gaussian_rows
 from qpositivity.analysis import is_reciprocal, nonnegativity
 from qpositivity.criteria import (
@@ -16,8 +17,6 @@ from qpositivity.criteria import (
     lemma6_degree,
     lemma6_expression,
     lemma6_order_bound,
-    thm8_exponent,
-    thm9_exponent,
 )
 from qpositivity.harness import (
     REMARK25_EXPECTED,

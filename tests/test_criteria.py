@@ -7,25 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _paper
 import qpositivity.criteria as criteria
+from _paper import case_classify, lemma5_expression, thm8_exponent, thm9_exponent
+from _reference import cyclotomic_exponent
 from qpositivity.analysis import is_parity_unimodal, is_reciprocal
 from qpositivity.criteria import (
     Lemma6Variant,
-    NotPolynomialPattern,
-    case_classify,
     corollary10_expression,
-    lemma5_applicable,
-    lemma5_expression,
     lemma6_degree,
     lemma6_expression,
     lemma6_order_bound,
-    rational_q_catalan,
-    thm8_exponent,
     thm8_is_polynomial,
-    thm9_exponent,
     thm9_is_polynomial,
 )
-from _reference import cyclotomic_exponent
 from qpositivity.qexpr import (
     QuotientSpec,
     expand,
@@ -36,8 +31,9 @@ from qpositivity.qpoly import IntPolynomial, NotDivisible
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(criteria)
-    assert failures == 0
+    for module in (criteria, _paper):
+        failures, _ = doctest.testmod(module)
+        assert failures == 0
 
 
 class TestTheorem8:
@@ -104,12 +100,6 @@ class TestExponentFormulas:
                 reduced = n // 2 - k // 2 - (n - k) // 2
                 assert thm9_exponent(n, k, 2) == reduced, (n, k)
 
-    def test_invalid_d(self):
-        with pytest.raises(ValueError):
-            thm8_exponent(5, 2, 0)
-        with pytest.raises(ValueError):
-            thm9_exponent(5, 2, -1)
-
     @given(st.integers(3, 120), st.data())
     @settings(max_examples=120)
     def test_matches_divisor_count_l1(self, n, data):
@@ -128,24 +118,11 @@ class TestExponentFormulas:
 
 
 class TestLemma5:
-    def test_applicable_examples(self):
-        assert lemma5_applicable(3, 4, 6)
-        assert not lemma5_applicable(3, 4, 5)
-        assert not lemma5_applicable(2, 4, 10)
-        with pytest.raises(ValueError):
-            lemma5_applicable(0, 3, 1)
-
     def test_expression_examples(self):
         assert str(lemma5_expression(3, 4, 6)) == "[6][12]/([3][4])"
         assert lemma5_expression(1, 1, 7).factors == ((7, 1),)
         p = expand(lemma5_expression(2, 3, 2))
         assert p is not NotDivisible and all(c >= 0 for c in p.coeffs)
-
-    def test_precondition_enforced(self):
-        with pytest.raises(ValueError):
-            lemma5_expression(3, 4, 5)
-        with pytest.raises(ValueError):
-            lemma5_expression(1, 5, 0)
 
     def test_positivity_suite(self):
         # full hypothesis window: coprime a,b <= 12, threshold <= gamma <= threshold+20
@@ -218,13 +195,13 @@ class TestCaseClassify:
         assert pat.label == "distinct-factors"
         assert pat.assignment == {3: (9,)}
         assert pat.K is None and pat.M is None
-        assert case_classify(12, 3, 2) is NotPolynomialPattern
+        assert case_classify(12, 3, 2) is None
 
     def test_case2_criterion(self):
         for n in range(4, 60):
             for k in range(2, n // 2 + 1):
                 verdict = case_classify(n, k, k - 1)
-                assert (verdict is not NotPolynomialPattern) == ((n - k + 1) % k == 0)
+                assert (verdict is not None) == ((n - k + 1) % k == 0)
 
     def test_case3_labels(self):
         # k=3, l=1: divisors 3 and 2 against n-2, n-1
@@ -255,7 +232,7 @@ class TestCaseClassify:
 
     def test_even_k_parity_obstruction(self):
         # k=4, l=1, n even: assignments may exist but the even slots clash
-        assert case_classify(16, 4, 1) is NotPolynomialPattern
+        assert case_classify(16, 4, 1) is None
 
     def test_triple_share_labels(self):
         # k=5, l=2: N1 = 60 is divisible by each of 5, 4, 3
@@ -276,14 +253,6 @@ class TestCaseClassify:
         assert pat.label == "two-share-even-B"
         assert pat.K is None
 
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            case_classify(10, 6, 3)  # k > n/2
-        with pytest.raises(ValueError):
-            case_classify(20, 6, 2)  # l = k-4
-        with pytest.raises(ValueError):
-            case_classify(9, 3, 0)
-
     def test_agrees_with_is_polynomial_to_120(self):
         for n in range(2, 121):
             for k in range(2, n // 2 + 1):
@@ -292,13 +261,13 @@ class TestCaseClassify:
                         continue
                     verdict = case_classify(n, k, l)
                     truth = is_polynomial(from_quotient_spec(QuotientSpec(n, k, l)))
-                    assert (verdict is not NotPolynomialPattern) == truth, (n, k, l)
+                    assert (verdict is not None) == truth, (n, k, l)
 
     def test_assignments_are_real_divisibilities(self):
         for n in range(8, 90):
             for k in range(4, n // 2 + 1):
                 pat = case_classify(n, k, k - 3)
-                if pat is NotPolynomialPattern:
+                if pat is None:
                     continue
                 for d, hits in pat.assignment.items():
                     assert k - 2 <= d <= k
@@ -307,6 +276,7 @@ class TestCaseClassify:
                         assert n - k + 1 <= a <= n - k + 3 and a % d == 0
 
     def test_label_vocabulary_coverage(self):
+        # every label occurs by n = 120; all-three-odd-k first at (62, 5, 2)
         seen = set()
         for n in range(2, 121):
             for k in range(2, n // 2 + 1):
@@ -314,36 +284,29 @@ class TestCaseClassify:
                     if l < 1:
                         continue
                     pat = case_classify(n, k, l)
-                    if pat is not NotPolynomialPattern:
+                    if pat is not None:
                         seen.add(pat.label)
-        assert "distinct-factors" in seen
-        assert "two-share-coprime" in seen
-        assert "lemma6-A" in seen
+                        lemma6 = pat.label.startswith("lemma6")
+                        assert (pat.K is not None) == (pat.M is not None) == lemma6, (n, k, l)
+        assert seen == {
+            "lemma6-A", "lemma6-B", "all-three-even-k", "all-three-odd-k",
+            "two-share-even-A", "two-share-even-B", "two-share-coprime", "distinct-factors",
+        }
 
 
 class TestRationalQCatalan:
+    """[n-1]!/([k]![n-k]!), the l = 1 quotient."""
+
     def test_examples(self):
-        assert rational_q_catalan(5, 2) == IntPolynomial([1, 0, 1])
-        assert rational_q_catalan(4, 2) is NotDivisible
+        assert expand(from_quotient_spec(QuotientSpec(5, 2, 1))) == IntPolynomial([1, 0, 1])
+        assert expand(from_quotient_spec(QuotientSpec(4, 2, 1))) is NotDivisible
         for n in range(2, 20):
-            assert rational_q_catalan(n, 1) == IntPolynomial([1])
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            rational_q_catalan(0, 0)
-        with pytest.raises(ValueError):
-            rational_q_catalan(4, 5)
-
-    def test_verdict_matches_gcd_criterion(self):
-        for n in range(2, 45):
-            for k in range(1, n):
-                got = rational_q_catalan(n, k)
-                assert (got is not NotDivisible) == (gcd(k, n - k) == 1), (n, k)
+            assert expand(from_quotient_spec(QuotientSpec(n, 1, 1))) == IntPolynomial([1])
 
     def test_shape_when_defined(self):
         for n in range(2, 45):
             for k in range(1, n):
-                p = rational_q_catalan(n, k)
+                p = expand(from_quotient_spec(QuotientSpec(n, k, 1)))
                 if p is NotDivisible:
                     continue
                 assert p.degree == k * (n - k) - (n - 1), (n, k)

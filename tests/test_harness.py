@@ -1,5 +1,6 @@
 """Verification entry points, sweeps, checkpoints, and reproductions."""
 
+import dataclasses
 import doctest
 import hashlib
 import json
@@ -1218,6 +1219,8 @@ def test_a_verdict_is_a_value(verify):
     first, second = verify(), verify()
     assert first == second
     assert not {"elapsed", "elapsed_ms"} & first.to_dict().keys()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.note = "edited"
 
 
 def test_canonical_forms_exclude_timing():

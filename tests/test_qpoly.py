@@ -178,17 +178,6 @@ class TestRingOps:
         total = IntPolynomial(add_coeffs(a.coeffs, b.coeffs))
         assert horner(total, x) == horner(a, x) + horner(b, x)
 
-    @given(small_polys, st.integers(1, 4))
-    def test_substitute_q_power_matches_evaluation(self, p, t):
-        assert horner(p.substitute_q_power(t), 2) == horner(p, 2**t)
-
-    @given(small_polys, st.integers(1, 5))
-    def test_substitute_q_power_matches_its_definition(self, p, t):
-        # p(q^t) has p_i at q^(i t) and zeros between
-        size = (len(p.coeffs) - 1) * t + 1 if p.coeffs else 0
-        expected = tuple(0 if j % t else p.coeffs[j // t] for j in range(size))
-        assert p.substitute_q_power(t).coeffs == expected
-
 
 class TestDivExact:
     def test_spec_examples(self):
