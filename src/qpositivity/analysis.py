@@ -40,7 +40,7 @@ def nonnegativity(
     (True, None)
     >>> nonnegativity(IntPolynomial([1, 0, -2, -5]))
     (False, (2, -2))
-    >>> nonnegativity(PackedSeries.from_coeffs([1, 0, -2, -5], 8))
+    >>> nonnegativity(PackedSeries(0xFAFE0001, 8, 4))
     (False, (2, -2))
     """
     if isinstance(p, PackedSeries):

@@ -260,9 +260,14 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 
 def _load_checkpoint(path: str):
+    """The payload at path, and its fields as canonical JSON if it is an
+    object.  Both are read in one guard: json.load parses a nesting a level
+    or so deeper than canonical_json, called further down the stack, can
+    write back."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
+        return data, _canonical_fields(data) if isinstance(data, dict) else {}
     except (OSError, ValueError, RecursionError) as exc:
         raise CheckpointMismatch(f"checkpoint {path} is unreadable: {exc}") from exc
 
@@ -287,8 +292,7 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (resume and os.path.exists(path)):
         return 0, counts, []
-    data = _load_checkpoint(path)
-    stored = _canonical_fields(data) if isinstance(data, dict) else {}
+    data, stored = _load_checkpoint(path)
     expected = _canonical_fields(_checkpoint_payload(sweep_id, params, 0, counts, []))
     header = [k for k in ("format", "sweep", "params") if stored.get(k) != expected[k]]
     if header:

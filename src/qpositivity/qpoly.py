@@ -173,7 +173,7 @@ class PackedSeries:
     negative digit.  top, that bit of every field, may be shared by the
     series of one width that are no longer.
 
-    >>> s = PackedSeries.from_coeffs([1, 2, 3, 4], 8)
+    >>> s = PackedSeries(0x04030201, 8, 4)
     >>> s.div_one_minus_qk(2); s.coeffs
     [1, 2, 4, 6]
     >>> s.mul_one_minus_qm(2); s.coeffs, s.digit_sum(), s.top_digit()
@@ -192,13 +192,6 @@ class PackedSeries:
                 top |= top << (width * fields)
                 fields *= 2
         self.top = top
-
-    @classmethod
-    def from_coeffs(cls, coeffs: "list[int] | tuple[int, ...]", width: int) -> "PackedSeries":
-        value = 0
-        for c in reversed(coeffs):
-            value = (value << width) + c
-        return cls(value, width, len(coeffs))
 
     @property
     def coeffs(self) -> list[int]:

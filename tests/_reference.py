@@ -9,13 +9,13 @@ cyclotomic_exponent counts one C_d at a time, the reference of the
 exponent profile and of the closed-form exponents of Theorems 8 and 9
 in _paper;
 factorial_quotient_factors counts tops for each argument, the reference
-of from_factorials.
+of from_factorials; packed builds a PackedSeries from its digits.
 """
 
 from itertools import zip_longest
 
 from qpositivity.qexpr import FactoredQExpression
-from qpositivity.qpoly import IntPolynomial, NotDivisible, _NotDivisibleType
+from qpositivity.qpoly import IntPolynomial, NotDivisible, PackedSeries, _NotDivisibleType
 
 
 def poly_div_exact(a: IntPolynomial, b: IntPolynomial) -> "IntPolynomial | _NotDivisibleType":
@@ -104,3 +104,15 @@ def factorial_quotient_factors(numerator_tops, denominator_tops) -> tuple:
         if e:
             factors.append((m, e))
     return tuple(factors)
+
+
+def packed(coeffs, width: int) -> PackedSeries:
+    """The PackedSeries of the digits coeffs, each field width bits wide.
+
+    >>> hex(packed([1, 2, 3, 4], 8).value), packed([1, 0, -2, -5], 8).coeffs
+    ('0x4030201', [1, 0, -2, -5])
+    """
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return PackedSeries(value, width, len(coeffs))

@@ -8,6 +8,7 @@ import io
 import json
 import operator
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -24,11 +25,7 @@ from qpositivity.cli import build_parser, main
 from qpositivity.harness import canonical_json
 from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import IntPolynomial, NotDivisible
-from test_harness import (
-    _conjecture1_wrong_at_34,
-    _corollary10_wrong_companion,
-    _fake_gaussian_flaky_expand,
-)
+from test_harness import _GENUINE_CHECKPOINTS, _VIOLATING, _corollary10_wrong_companion
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
 
@@ -128,20 +125,9 @@ def test_check_batch_json_times_each_spec(tmp_path, capsys):
         assert type(result["elapsed_ms"]) is int and result["elapsed_ms"] >= 0
 
 
-#: sweep -> (its patch from test_harness, under which the sweep records
-#: genuine violations, and the sweep's argv)
-_VIOLATING_SWEEPS = {
-    "conjecture1": (_conjecture1_wrong_at_34,
-                    ["sweep", "conjecture1", "--n-max", "40", "--jobs", "1"]),
-    "fake-gaussian": (_fake_gaussian_flaky_expand,
-                      ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1",
-                       "--samples", "30", "--m-span", "30", "--jobs", "1"]),
-}
-
-
-@pytest.mark.parametrize("sweep", sorted(_VIOLATING_SWEEPS))
+@pytest.mark.parametrize("sweep", _VIOLATING)
 def test_sweep_json_violations_carry_zero_elapsed_ms(monkeypatch, capsys, sweep):
-    setup, argv = _VIOLATING_SWEEPS[sweep]
+    setup, argv, _, _ = _GENUINE_CHECKPOINTS[sweep]
     setup(monkeypatch)
     assert run_cli([*argv, "--format", "json"]) == 3
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -219,16 +205,6 @@ def test_sweep_checkpoint_resume_cycle(tmp_path, capsys):
     resumed.pop("wall_time_ms")
     plain.pop("wall_time_ms")
     assert resumed == plain
-
-
-def test_sweep_checkpoint_mismatch_refused(tmp_path, capsys):
-    ckpt = str(tmp_path / "c1.ckpt")
-    assert run_cli(["sweep", "conjecture1", "--n-max", "16",
-                    "--checkpoint", ckpt, "--stop-after", "2"]) == 0
-    capsys.readouterr()
-    assert run_cli(["sweep", "conjecture1", "--n-max", "18",
-                    "--checkpoint", ckpt, "--resume"]) == 2
-    assert "refusing to resume" in capsys.readouterr().err
 
 
 def test_checkpoint_dir_env(tmp_path, capsys, monkeypatch):
@@ -446,17 +422,11 @@ def test_sweep_checkpoint_bad_violation_refused(tmp_path, capsys, cursor, field,
     assert "Traceback" not in captured.err
 
 
-def _assert_refused(capsys):
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("refusing to resume")
-    assert "Traceback" not in captured.err
-
-
 @pytest.mark.parametrize("cursor", [0, 10])
 @pytest.mark.parametrize("note", [None, "sample 3"], ids=["note-null", "note-sample-3"])
 def test_sweep_fake_gaussian_checkpoint_undrawn_violation_refused(tmp_path, capsys, cursor, note):
-    # the Stanton m=1 violation is no sample of aa, seed 1
+    # the Stanton m=1 violation is no sample of aa, seed 1: at cursor 0 its
+    # unit (samples 0..9) has not run, and at cursor 10 it ran and was clean
     violation = qpositivity.harness.verify_fake_gaussian(
         FakeGaussianSpec(1, qpositivity.harness.STANTON_SEQUENCE)
     ).to_dict()
@@ -470,68 +440,10 @@ def test_sweep_fake_gaussian_checkpoint_undrawn_violation_refused(tmp_path, caps
     argv = ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1", "--samples", "10",
             "--checkpoint", str(ckpt), "--resume"]
     assert run_cli(argv) == 2
-    _assert_refused(capsys)
-
-
-def test_sweep_checkpoint_old_format_refused(tmp_path, capsys):
-    # format /1 stored violations without their units
-    ckpt = tmp_path / "c1.ckpt"
-    args = ["sweep", "conjecture1", "--n-max", "16", "--jobs", "1", "--checkpoint", str(ckpt)]
-    assert run_cli(args + ["--stop-after", "2"]) == 0
-    payload = json.loads(ckpt.read_text())
-    ckpt.write_text(json.dumps({**payload, "format": "qpositivity-checkpoint/1"}))
-    capsys.readouterr()
-    assert run_cli(args + ["--resume"]) == 2
-    _assert_refused(capsys)
-
-
-def test_sweep_checkpoint_edited_count_refused(tmp_path, capsys):
-    # n = 2 and 3 examine nothing, so a fresh run to cursor 3 counts 0
-    ckpt = tmp_path / "c1.ckpt"
-    args = ["sweep", "conjecture1", "--n-max", "5", "--jobs", "1", "--checkpoint", str(ckpt)]
-    assert run_cli(args + ["--stop-after", "2"]) == 0
-    payload = json.loads(ckpt.read_text())
-    assert payload["cursor"] == 3 and payload["counts"]["examined"] == 0
-    payload["counts"]["examined"] = 1
-    ckpt.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert run_cli(args + ["--resume"]) == 2
-    _assert_refused(capsys)
-
-
-def test_fake_gaussian_checkpoint_edited_counts_refused(tmp_path, capsys):
-    ckpt = tmp_path / "fg.ckpt"
-    args = ["sweep", "fake-gaussian", "--template", "aba", "--seed", "0", "--samples", "1000",
-            "--jobs", "1", "--checkpoint", str(ckpt)]
-    assert run_cli(args + ["--stop-after", "2"]) == 0
-    payload = json.loads(ckpt.read_text())
-    assert payload["cursor"] == 400
-    payload["counts"]["examined"] -= 3
-    payload["counts"]["polynomial"] += 7
-    ckpt.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert run_cli(args + ["--resume"]) == 2
-    _assert_refused(capsys)
-
-
-def test_sweep_checkpoint_too_deeply_nested_refused(tmp_path, capsys):
-    ckpt = tmp_path / "deep.ckpt"
-    ckpt.write_text("[" * 200000 + "]" * 200000)
-    argv = ["sweep", "conjecture1", "--n-max", "8", "--checkpoint", str(ckpt), "--resume"]
-    assert run_cli(argv) == 2
-    _assert_refused(capsys)
-
-
-def test_sweep_incomplete_checkpoint_refused(tmp_path, capsys):
-    ckpt = tmp_path / "c1.ckpt"
-    args = ["sweep", "conjecture1", "--n-max", "16", "--jobs", "1", "--checkpoint", str(ckpt)]
-    assert run_cli(args + ["--stop-after", "2"]) == 0
-    payload = json.loads(ckpt.read_text())
-    del payload["violations"]
-    ckpt.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert run_cli(args + ["--resume"]) == 2
-    assert "refusing to resume" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refusing to resume")
+    assert "does not report" in captured.err
 
 
 class _Patches(contextlib.ExitStack):
@@ -550,14 +462,39 @@ def _run_quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-#: genuine checkpoints: (the patch the sweep runs under or None, its argv,
-#: the units to run); the patched ones hold violations, the others none
-_GENUINE_CHECKPOINTS = [
-    (None, _VIOLATING_SWEEPS["conjecture1"][1], 10),
-    (_conjecture1_wrong_at_34, _VIOLATING_SWEEPS["conjecture1"][1], 34),
-    (None, _VIOLATING_SWEEPS["fake-gaussian"][1], 1),
-    (_fake_gaussian_flaky_expand, _VIOLATING_SWEEPS["fake-gaussian"][1], 2),
-]
+def _sweep(name, text, *argv):
+    """(exit code, stdout, stderr, checkpoint text or None) of the sweep of
+    genuine checkpoint name, run under its patch with argv and a checkpoint
+    file that holds text beforehand, or does not exist if text is None.
+    The file is named ckpt in a fresh checkpoint directory, so stdout does
+    not depend on where it is."""
+    setup, sweep_argv, _, _ = _GENUINE_CHECKPOINTS[name]
+    with _Patches() as patches, tempfile.TemporaryDirectory() as tmp:
+        if setup:
+            setup(patches)
+        patches.enter_context(mock.patch.dict(os.environ, {cli.CHECKPOINT_DIR_ENV: tmp}))
+        path = pathlib.Path(tmp, "ckpt")
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        outcome = _run_quiet([*sweep_argv, *argv, "--checkpoint", "ckpt"])
+        return (*outcome, path.read_text(encoding="utf-8") if path.exists() else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _genuine_text(name):
+    """The file text of genuine checkpoint name, written once."""
+    _, _, stop_after, _ = _GENUINE_CHECKPOINTS[name]
+    return _sweep(name, None, "--stop-after", str(stop_after))[3]
+
+
+def _refusal(name, text):
+    """stderr of resuming the sweep of genuine checkpoint name from text,
+    which must refuse it: exit 2 and nothing on stdout."""
+    code, out, err, _ = _sweep(name, text, "--resume")
+    assert code == 2 and out == "", (code, text[:200])
+    assert err.startswith("refusing to resume"), err
+    return err
+
 
 #: any JSON value; floats include NaN and the infinities, which json reads back
 _JSON_VALUES = st.recursive(
@@ -617,34 +554,107 @@ def _edited(payload, data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_any_edited_checkpoint_is_refused(data):
-    setup, argv, stop_after = data.draw(st.sampled_from(_GENUINE_CHECKPOINTS))
-    with _Patches() as patches, tempfile.TemporaryDirectory() as tmp:
-        if setup:
-            setup(patches)
-        argv = [*argv, "--checkpoint", os.path.join(tmp, "ckpt")]
-        _run_quiet([*argv, "--stop-after", str(stop_after)])
-        with open(argv[-1], encoding="utf-8") as fh:
-            text, unchanged = _edited(json.load(fh), data)
-        with open(argv[-1], "w", encoding="utf-8") as fh:
-            fh.write(text)
-        code, out, err = _run_quiet([*argv, "--resume"])
+    name = data.draw(st.sampled_from(list(_GENUINE_CHECKPOINTS)))
+    text, unchanged = _edited(json.loads(_genuine_text(name)), data)
     if unchanged:
+        code, _, err, _ = _sweep(name, text, "--resume")
         assert code in (0, 3) and err == ""
     else:
-        assert code == 2 and out == "", (code, text)
-        assert err.startswith("refusing to resume"), err
+        _refusal(name, text)
+
+
+def _edit(change):
+    """The edit that applies change to the payload in place, as file text."""
+    def edit(payload):
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+def _counts_moved(**deltas):
+    return _edit(lambda p: p["counts"].update({f: p["counts"][f] + d for f, d in deltas.items()}))
+
+
+#: (genuine checkpoint, edit from its payload to the file text, the fragment
+#: of the refusal that names the branch of harness._resume_state refusing it)
+_PINNED_EDITS = [
+    pytest.param("conjecture1-clean", lambda p: "[" * 200000 + "]" * 200000, "is unreadable",
+                 id="nested-200000-deep"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p.update(format="qpositivity-checkpoint/1")),
+                 "differs in format", id="format-1"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p["params"].update(n_max=41)),
+                 "differs in params", id="n-max-41"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p.update(cursor=11.0)),
+                 "has a cursor that ends no unit", id="cursor-11.0"),
+    pytest.param("fake-gaussian-complete", _edit(lambda p: p.update(cursor=31)),
+                 "has a cursor that ends no unit", id="cursor-31"),
+    pytest.param("conjecture1-clean", _counts_moved(examined=1), "holds counts that",
+                 id="examined-up"),
+    pytest.param("fake-gaussian", _counts_moved(examined=-3, polynomial=7), "does not derive",
+                 id="examined-down-polynomial-up"),
+    pytest.param("fake-gaussian", _edit(lambda p: p.pop("violations")), "does not report",
+                 id="violations-deleted"),
+]
+
+
+@pytest.mark.parametrize("name, edit, fragment", _PINNED_EDITS)
+def test_pinned_checkpoint_edit_is_refused(name, edit, fragment):
+    assert fragment in _refusal(name, edit(json.loads(_genuine_text(name))))
+
+
+def test_checkpoint_nested_to_the_recursion_limit_is_refused():
+    # json.load parses a nesting a level or so deeper than canonical_json
+    # can write back from further down the stack: every depth up to the
+    # limit must be refused, none may end in a RecursionError
+    payload = json.loads(_genuine_text("conjecture1"))
+    spec = payload["violations"][0][1]["spec"]
+    payload["violations"][0][1]["spec"] = _NEST
+    for depth in range(sys.getrecursionlimit() - 200, sys.getrecursionlimit()):
+        nested = "[" * depth + json.dumps(spec) + "]" * depth
+        _refusal("conjecture1", json.dumps(payload).replace(json.dumps(_NEST), nested))
+
+
+def _timeless(code, out, err, written):
+    return code, _TIMINGS.sub(r"\1T", out), err, written
+
+
+@pytest.mark.parametrize("name", list(_GENUINE_CHECKPOINTS))
+def test_resume_from_a_missing_checkpoint_runs_as_a_plain_sweep(name):
+    # README: a missing file starts fresh, so the run prints, exits and
+    # writes as one without --resume does, wall time aside
+    assert _timeless(*_sweep(name, None, "--resume")) == _timeless(*_sweep(name, None))
+
+
+def _keys_reversed(node):
+    if isinstance(node, dict):
+        return {key: _keys_reversed(node[key]) for key in reversed(node)}
+    if isinstance(node, list):
+        return [_keys_reversed(value) for value in node]
+    return node
+
+
+@pytest.mark.parametrize("name", list(_GENUINE_CHECKPOINTS))
+def test_checkpoint_with_its_keys_reordered_resumes_as_written(name):
+    # canonical JSON sorts keys, so the resume is accepted; it reports the
+    # counts it derives, not the file's order of them
+    text = _genuine_text(name)
+    reordered = json.dumps(_keys_reversed(json.loads(text)))
+    argv = ["--resume", "--format", "json"]
+    resumed, as_written = _sweep(name, reordered, *argv), _sweep(name, text, *argv)
+    assert _timeless(*resumed)[:3] == _timeless(*as_written)[:3]
 
 
 @pytest.mark.parametrize("sweep, stop_after, units", [
-    ("conjecture1", 34, {34}), ("fake-gaussian", 2, {5}), ("fake-gaussian", 2, {10}),
-    ("fake-gaussian", 2, {5, 10}),
+    (sweep, _GENUINE_CHECKPOINTS[sweep][2], units)
+    for sweep, units in [("conjecture1", {34}), ("fake-gaussian", {5}), ("fake-gaussian", {10}),
+                         ("fake-gaussian", {5, 10})]
 ])
 def test_checkpoint_without_a_units_violations_and_their_count_resumes(
     tmp_path, monkeypatch, sweep, stop_after, units
 ):
     # README: a passed unit that the file names no violation for is trusted
     # as clean, so its violations deleted with their count go unnoticed
-    setup, argv = _VIOLATING_SWEEPS[sweep]
+    setup, argv, _, _ = _GENUINE_CHECKPOINTS[sweep]
     setup(monkeypatch)
     argv = [*argv, "--format", "json"]
     plain = json.loads(_run_quiet(argv)[1].splitlines()[-1])["counts"]

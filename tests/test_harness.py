@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpositivity.harness
+from _reference import packed
 from qpositivity.analysis import nonnegativity, property_record
 from qpositivity.harness import (
     CHECKPOINT_FORMAT,
@@ -54,7 +55,6 @@ from qpositivity.qexpr import (
 from qpositivity.qpoly import (
     IntPolynomial,
     NotDivisible,
-    PackedSeries,
     _div_one_minus_qk_series,
     _mul_one_minus_qm_series,
 )
@@ -260,7 +260,7 @@ def test_negative_coefficient_in_a_lower_half_is_reported_as_expanded(monkeypatc
                 coeffs[2] += coeffs[1] + 5
                 coeffs[1] = -5
                 forced.append(coeffs)
-                lower = PackedSeries.from_coeffs(coeffs, lower.width)
+                lower = packed(coeffs, lower.width)
             yield k, l, lower
 
     [(_, _, untouched)] = real(34, [(15, [3])])
@@ -745,23 +745,6 @@ def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
 
-@pytest.mark.parametrize("cursor", [0, 10])
-@pytest.mark.parametrize("note", [None, "sample 3"], ids=["note-null", "note-sample-3"])
-def test_fake_gaussian_checkpoint_violation_not_drawn_before_the_cursor_refused(
-    tmp_path, cursor, note
-):
-    # the Stanton m=1 violation is no sample of aa, seed 1: at cursor 0 its
-    # unit (samples 0..9) has not run, and at cursor 10 it ran and was clean
-    path = tmp_path / "fg.ckpt"
-    violation = {**_STANTON_VIOLATION, "note": note}
-    counts = _FG_COUNTS if cursor else {"examined": 0, "polynomial": 0}
-    _write_one_violation_checkpoint(
-        path, "fake-gaussian", _FG_PARAMS, cursor, 10, violation, counts
-    )
-    with pytest.raises(CheckpointMismatch, match="does not report"):
-        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
-
-
 def _conjecture1_wrong_at_34(monkeypatch):
     """sweep_conjecture1(40) under a divisor table that is wrong at n = 34
     only, so that unit alone reports violations (see
@@ -793,18 +776,30 @@ def _fake_gaussian_flaky_expand(monkeypatch):
     return lambda **kw: sweep_fake_gaussian("aa", seed=1, samples=30, m_span=30, workers=1, **kw)
 
 
-#: sweep -> (setup, stop_after, units): a sweep whose checkpoint after
-#: stop_after units holds genuine violations, and the cursors of the units
-#: that recorded them
-_GENUINE = {
-    "conjecture1": (_conjecture1_wrong_at_34, 34, {34}),
-    "fake-gaussian": (_fake_gaussian_flaky_expand, 2, {5, 10}),
+_CONJECTURE1_ARGV = ["sweep", "conjecture1", "--n-max", "40", "--jobs", "1"]
+_FAKE_GAUSSIAN_ARGV = ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1",
+                       "--samples", "30", "--m-span", "30", "--jobs", "1"]
+
+#: name -> (patch or None, argv, stop_after, units): a genuine checkpoint,
+#: the file that the sweep of argv writes after stop_after units under the
+#: patch, and the cursors of the units that recorded its violations.  The
+#: patches return the sweep of argv as a library call; unpatched, the
+#: conjecture1 checkpoint stops at cursor 11 and the fake-gaussian one is
+#: complete at cursor 30, both clean.
+_GENUINE_CHECKPOINTS = {
+    "conjecture1": (_conjecture1_wrong_at_34, _CONJECTURE1_ARGV, 34, {34}),
+    "conjecture1-clean": (None, _CONJECTURE1_ARGV, 10, set()),
+    "fake-gaussian": (_fake_gaussian_flaky_expand, _FAKE_GAUSSIAN_ARGV, 2, {5, 10}),
+    "fake-gaussian-complete": (None, _FAKE_GAUSSIAN_ARGV, 1, set()),
 }
 
+#: the genuine checkpoints that hold violations
+_VIOLATING = [name for name, (*_, units) in _GENUINE_CHECKPOINTS.items() if units]
 
-@pytest.mark.parametrize("sweep", sorted(_GENUINE))
+
+@pytest.mark.parametrize("sweep", _VIOLATING)
 def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep):
-    setup, stop_after, units = _GENUINE[sweep]
+    setup, _, stop_after, units = _GENUINE_CHECKPOINTS[sweep]
     run = setup(monkeypatch)
     path = str(tmp_path / "ckpt")
     partial = run(checkpoint=path, stop_after=stop_after)
@@ -855,13 +850,13 @@ _PROPERTY_TAMPERS = ("property-flag-1", "first-negative-float")
 
 @pytest.mark.parametrize(
     "sweep, tamper",
-    [(sweep, tamper) for sweep in sorted(_GENUINE) for tamper in _TAMPERS
+    [(sweep, tamper) for sweep in _VIOLATING for tamper in _TAMPERS
      if sweep == "fake-gaussian" or tamper not in _PROPERTY_TAMPERS],
 )
 def test_checkpoint_with_a_tampered_genuine_violation_refused(
     tmp_path, monkeypatch, sweep, tamper
 ):
-    setup, stop_after, _ = _GENUINE[sweep]
+    setup, _, stop_after, _ = _GENUINE_CHECKPOINTS[sweep]
     run = setup(monkeypatch)
     path = tmp_path / "ckpt"
     run(checkpoint=str(path), stop_after=stop_after)
@@ -881,20 +876,6 @@ def test_fake_gaussian_checkpoint_quotient_spec_refused(tmp_path, field):
     )
     with pytest.raises(CheckpointMismatch, match="does not report"):
         sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
-
-
-def test_fake_gaussian_checkpoint_cursor_past_the_samples_refused(tmp_path):
-    path = str(tmp_path / "fg.ckpt")
-    sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["cursor"] == 10
-    assert sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path, resume=True).cursor == 10
-    payload["cursor"] = 11
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    with pytest.raises(CheckpointMismatch):
-        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=path, resume=True)
 
 
 def _recorded(monkeypatch, name):

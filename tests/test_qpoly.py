@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import _reference
 import qpositivity.qpoly as qpoly
-from _reference import add_coeffs, gaussian_rows, poly_div_exact
+from _reference import add_coeffs, gaussian_rows, packed, poly_div_exact
 from qpositivity.analysis import nonnegativity
 from qpositivity.qexpr import QuotientSpec, expand, from_quotient_spec, quotient_expansions
 from qpositivity.qpoly import (
@@ -24,7 +24,6 @@ from qpositivity.qpoly import (
     CyclotomicCache,
     IntPolynomial,
     NotDivisible,
-    PackedSeries,
     cyclotomic,
     poly_mul,
 )
@@ -383,10 +382,10 @@ class TestPackedSeries:
     @example(([2**128 - 1, -(2**128 - 1)], 130))
     def test_round_trip(self, case):
         digits, width = case
-        packed = PackedSeries.from_coeffs(digits, width)
-        assert packed.coeffs == digits
-        assert packed.top_digit() == digits[-1]
-        assert packed.cut(1).coeffs == digits[:1]
+        s = packed(digits, width)
+        assert s.coeffs == digits
+        assert s.top_digit() == digits[-1]
+        assert s.cut(1).coeffs == digits[:1]
 
     @given(packable() | one_negative())
     @example(([0, 0, -1], 4))
@@ -394,7 +393,7 @@ class TestPackedSeries:
     @example(([-1, 3, 3], 130))
     def test_nonnegativity_matches_the_polynomial(self, case):
         digits, width = case
-        got = nonnegativity(PackedSeries.from_coeffs(digits, width))
+        got = nonnegativity(packed(digits, width))
         assert got == nonnegativity(IntPolynomial(digits))
 
     @given(packable(sum_fits=True))
@@ -403,7 +402,7 @@ class TestPackedSeries:
     @example(([-(2**128 - 1), 0], 130))
     def test_digit_sum_is_exact(self, case):
         digits, width = case
-        assert PackedSeries.from_coeffs(digits, width).digit_sum() == sum(digits)
+        assert packed(digits, width).digit_sum() == sum(digits)
 
     @given(
         st.lists(mul_coeffs, min_size=1, max_size=40),
@@ -416,12 +415,12 @@ class TestPackedSeries:
         for divide, j in steps:
             (qpoly._div_one_minus_qk_series if divide else qpoly._mul_one_minus_qm_series)(series, j)
         width = max(max(map(abs, series)), abs(sum(series))).bit_length() + 2
-        packed = PackedSeries.from_coeffs(a, width)
+        s = packed(a, width)
         for divide, j in steps:
-            (packed.div_one_minus_qk if divide else packed.mul_one_minus_qm)(j)
-        assert packed.coeffs == series
-        assert packed.digit_sum() == sum(series)
-        assert packed.cut(len(a) // 2 + 1).coeffs == series[: len(a) // 2 + 1]
+            (s.div_one_minus_qk if divide else s.mul_one_minus_qm)(j)
+        assert s.coeffs == series
+        assert s.digit_sum() == sum(series)
+        assert s.cut(len(a) // 2 + 1).coeffs == series[: len(a) // 2 + 1]
 
 
 def test_divisors_match_trial_division():
