@@ -379,6 +379,8 @@ def _run_units(
         raise ValueError("stop_after must be nonnegative")
     if resume and not checkpoint:
         raise ValueError("resume requires a checkpoint")
+    if checkpoint is not None and (not os.path.basename(checkpoint) or os.path.isdir(checkpoint)):
+        raise ValueError(f"checkpoint path {checkpoint!r} names no file")
     cursor, counts, violations = _resume_state(
         checkpoint, resume, sweep_id, params, units, unit_fn, recount
     )

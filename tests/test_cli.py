@@ -23,9 +23,15 @@ import qpositivity.harness
 from qpositivity import cli
 from qpositivity.cli import build_parser, main
 from qpositivity.harness import canonical_json
-from qpositivity.qexpr import FakeGaussianSpec
 from qpositivity.qpoly import IntPolynomial, NotDivisible
-from test_harness import _GENUINE_CHECKPOINTS, _VIOLATING, _corollary10_wrong_companion
+from test_harness import (
+    _GENUINE_CHECKPOINTS,
+    _PROPERTIES,
+    _STANTON_VIOLATION,
+    _VIOLATING,
+    _VIOLATION,
+    _corollary10_wrong_companion,
+)
 
 STANTON = "1,3,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1"
 
@@ -342,6 +348,7 @@ BAD_ARGV = [
     ["sweep", "conjecture1", "--n-max", "5", "--jobs", "0"],
     ["sweep", "conjecture1", "--n-max", "5", "--jobs", "-3"],
     ["sweep", "conjecture1", "--n-max", "5", "--stop-after", "-1"],
+    ["sweep", "conjecture1", "--n-max", "5", "--checkpoint", ""],
 ]
 
 
@@ -352,6 +359,19 @@ def test_bad_argv_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", ["", "dir"], ids=["empty", "directory"])
+def test_checkpoint_path_naming_no_file_is_refused_before_anything_runs(
+    tmp_path, monkeypatch, capsys, path
+):
+    # under the checkpoint directory, "" names the directory itself; a
+    # refusal after a unit had run would leave the file's .tmp behind
+    monkeypatch.setenv(cli.CHECKPOINT_DIR_ENV, str(tmp_path))
+    (tmp_path / "dir").mkdir()
+    assert run_cli(["sweep", "conjecture1", "--n-max", "6", "--checkpoint", path]) == 2
+    assert "names no file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 def test_batch_bad_fake_gaussian_is_a_usage_error(tmp_path, capsys):
@@ -420,30 +440,6 @@ def test_sweep_checkpoint_bad_violation_refused(tmp_path, capsys, cursor, field,
     assert captured.out == ""
     assert captured.err.startswith("refusing to resume")
     assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("cursor", [0, 10])
-@pytest.mark.parametrize("note", [None, "sample 3"], ids=["note-null", "note-sample-3"])
-def test_sweep_fake_gaussian_checkpoint_undrawn_violation_refused(tmp_path, capsys, cursor, note):
-    # the Stanton m=1 violation is no sample of aa, seed 1: at cursor 0 its
-    # unit (samples 0..9) has not run, and at cursor 10 it ran and was clean
-    violation = qpositivity.harness.verify_fake_gaussian(
-        FakeGaussianSpec(1, qpositivity.harness.STANTON_SEQUENCE)
-    ).to_dict()
-    ckpt = tmp_path / "fg.ckpt"
-    ckpt.write_text(json.dumps({
-        "format": qpositivity.harness.CHECKPOINT_FORMAT, "sweep": "fake-gaussian",
-        "params": {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1},
-        "cursor": cursor, "counts": {"examined": cursor, "polynomial": 0, "violations": 1},
-        "violations": [[10, {**violation, "note": note}]],
-    }))
-    argv = ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1", "--samples", "10",
-            "--checkpoint", str(ckpt), "--resume"]
-    assert run_cli(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("refusing to resume")
-    assert "does not report" in captured.err
 
 
 class _Patches(contextlib.ExitStack):
@@ -575,6 +571,18 @@ def _counts_moved(**deltas):
     return _edit(lambda p: p["counts"].update({f: p["counts"][f] + d for f, d in deltas.items()}))
 
 
+def _fabricated(unit, record, at_cursor_0=False):
+    """The edit that adds record, and its count, as a violation of the unit
+    ending at cursor unit; at_cursor_0 also moves the file to cursor 0,
+    with the counts of no passed unit, so that the unit has not run."""
+    def change(payload):
+        if at_cursor_0:
+            payload.update(cursor=0, counts=dict.fromkeys(payload["counts"], 0))
+        payload["violations"].append([unit, record])
+        payload["counts"]["violations"] += 1
+    return _edit(change)
+
+
 #: (genuine checkpoint, edit from its payload to the file text, the fragment
 #: of the refusal that names the branch of harness._resume_state refusing it)
 _PINNED_EDITS = [
@@ -594,6 +602,19 @@ _PINNED_EDITS = [
                  id="examined-down-polynomial-up"),
     pytest.param("fake-gaussian", _edit(lambda p: p.pop("violations")), "does not report",
                  id="violations-deleted"),
+    # well-formed records that no run of these sweeps reports: (6, 3, 1) is
+    # not a polynomial, and the aa template never draws Stanton's m=1 spec
+    pytest.param("conjecture1-clean",
+                 _fabricated(6, {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}),
+                 "does not report", id="fabricated-6-3-1"),
+    *(pytest.param("fake-gaussian-complete",
+                   _fabricated(30, {**_STANTON_VIOLATION, "note": note}, at_0),
+                   "does not report", id=f"stanton-note-{label}-at-cursor-{0 if at_0 else 30}")
+      for note, label in [(None, "null"), ("sample 3", "sample-3")] for at_0 in (False, True)),
+    *(pytest.param("fake-gaussian-complete",
+                   _fabricated(30, {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}),
+                   "does not report", id=f"stanton-quotient-{field}")
+      for field in ("spec", "normalized_spec")),
 ]
 
 

@@ -715,36 +715,6 @@ def test_sweep_checkpoint_malformed_refused(tmp_path, payload):
             sweep_conjecture1(20, checkpoint=str(path), resume=True)
 
 
-def _write_one_violation_checkpoint(path, sweep, params, cursor, unit, violation, counts):
-    # counts: a real run's up to the cursor, so that the violation alone is refused
-    path.write_text(json.dumps({
-        "format": CHECKPOINT_FORMAT, "sweep": sweep, "params": params, "cursor": cursor,
-        "counts": {**counts, "violations": 1},
-        "violations": [[unit, violation]],
-    }))
-
-
-#: the counts of the whole of _FG_PARAMS's sweep, one unit to cursor 10
-_FG_COUNTS = sweep_fake_gaussian("aa", seed=1, samples=10).counts
-
-
-def test_checkpoint_refuses_well_formed_but_fabricated_violations(tmp_path):
-    # well-formed records that no run of these sweeps reports: (6, 3, 1) is
-    # not a polynomial, and the aa template never draws the Stanton spec
-    path = tmp_path / "c1.ckpt"
-    violation = {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}
-    counts = sweep_conjecture1(8, stop_after=5).counts
-    _write_one_violation_checkpoint(path, "conjecture1", {"n_max": 8}, 6, 6, violation, counts)
-    with pytest.raises(CheckpointMismatch, match="does not report"):
-        sweep_conjecture1(8, checkpoint=str(path), resume=True)
-
-    _write_one_violation_checkpoint(
-        path, "fake-gaussian", _FG_PARAMS, 10, 10, _STANTON_VIOLATION, _FG_COUNTS
-    )
-    with pytest.raises(CheckpointMismatch, match="does not report"):
-        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
-
-
 def _conjecture1_wrong_at_34(monkeypatch):
     """sweep_conjecture1(40) under a divisor table that is wrong at n = 34
     only, so that unit alone reports violations (see
@@ -865,17 +835,6 @@ def test_checkpoint_with_a_tampered_genuine_violation_refused(
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointMismatch):
         run(checkpoint=str(path), resume=True)
-
-
-@pytest.mark.parametrize("field", ["spec", "normalized_spec"])
-def test_fake_gaussian_checkpoint_quotient_spec_refused(tmp_path, field):
-    path = tmp_path / "fg.ckpt"
-    violation = {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}
-    _write_one_violation_checkpoint(
-        path, "fake-gaussian", _FG_PARAMS, 10, 10, violation, _FG_COUNTS
-    )
-    with pytest.raises(CheckpointMismatch, match="does not report"):
-        sweep_fake_gaussian("aa", seed=1, samples=10, checkpoint=str(path), resume=True)
 
 
 def _recorded(monkeypatch, name):
@@ -1053,13 +1012,6 @@ def test_sweep_fake_gaussian_resume(tmp_path, monkeypatch):
     assert canonical_json(resumed.to_dict(canonical=True)) == canonical_json(
         plain.to_dict(canonical=True)
     )
-
-
-def test_sweep_fake_gaussian_seed_mismatch(tmp_path):
-    path = str(tmp_path / "fg.ckpt")
-    sweep_fake_gaussian("aa", seed=1, samples=100, stop_after=1, checkpoint=path)
-    with pytest.raises(CheckpointMismatch):
-        sweep_fake_gaussian("aa", seed=2, samples=100, resume=True, checkpoint=path)
 
 
 def test_sweep_fake_gaussian_aa_template_is_clean():
