@@ -250,9 +250,6 @@ def verify_fake_gaussian(
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -379,8 +376,13 @@ def _run_units(
         raise ValueError("stop_after must be nonnegative")
     if resume and not checkpoint:
         raise ValueError("resume requires a checkpoint")
-    if checkpoint is not None and (not os.path.basename(checkpoint) or os.path.isdir(checkpoint)):
-        raise ValueError(f"checkpoint path {checkpoint!r} names no file")
+    if checkpoint is not None:
+        if not os.path.basename(checkpoint) or os.path.isdir(checkpoint):
+            raise ValueError(f"checkpoint path {checkpoint!r} names no file")
+        # a path that cannot be written fails here, before any unit runs
+        os.makedirs(os.path.dirname(checkpoint) or os.curdir, exist_ok=True)
+        open(checkpoint + ".tmp", "w").close()
+        os.remove(checkpoint + ".tmp")
     cursor, counts, violations = _resume_state(
         checkpoint, resume, sweep_id, params, units, unit_fn, recount
     )

@@ -588,18 +588,40 @@ def _fabricated(unit, record, at_cursor_0=False):
 _PINNED_EDITS = [
     pytest.param("conjecture1-clean", lambda p: "[" * 200000 + "]" * 200000, "is unreadable",
                  id="nested-200000-deep"),
+    pytest.param("conjecture1-clean", lambda p: "not json at all{", "is unreadable",
+                 id="not-json"),
     pytest.param("conjecture1-clean", _edit(lambda p: p.update(format="qpositivity-checkpoint/1")),
                  "differs in format", id="format-1"),
+    pytest.param("conjecture1-clean", lambda p: json.dumps({"format": "qpositivity-checkpoint/0"}),
+                 "differs in format", id="format-0"),
     pytest.param("conjecture1-clean", _edit(lambda p: p["params"].update(n_max=41)),
                  "differs in params", id="n-max-41"),
     pytest.param("conjecture1-clean", _edit(lambda p: p.update(cursor=11.0)),
                  "has a cursor that ends no unit", id="cursor-11.0"),
     pytest.param("fake-gaussian-complete", _edit(lambda p: p.update(cursor=31)),
                  "has a cursor that ends no unit", id="cursor-31"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p.pop("cursor")),
+                 "has a cursor that ends no unit", id="cursor-deleted"),
     pytest.param("conjecture1-clean", _counts_moved(examined=1), "holds counts that",
                  id="examined-up"),
     pytest.param("fake-gaussian", _counts_moved(examined=-3, polynomial=7), "does not derive",
                  id="examined-down-polynomial-up"),
+    pytest.param("conjecture1-clean", _counts_moved(polynomial=-1), "holds counts that",
+                 id="polynomial-down"),
+    # a count with no record to match, and counts in another form or gone
+    pytest.param("conjecture1-clean", _counts_moved(violations=1), "does not derive",
+                 id="violations-count-up"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p["counts"].update(violations=False)),
+                 "does not derive", id="zero-violations-false"),
+    pytest.param("fake-gaussian-complete",
+                 _edit(lambda p: p["counts"].update(examined=float(p["counts"]["examined"]))),
+                 "does not derive", id="examined-float"),
+    pytest.param("fake-gaussian-complete", _edit(lambda p: p["counts"].update(elapsed=0)),
+                 "does not derive", id="counts-extra-key"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p.pop("counts")), "does not derive",
+                 id="counts-deleted"),
+    pytest.param("conjecture1-clean", _edit(lambda p: p.update(wall_time=None)),
+                 "holds wall_time that", id="wall-time-null"),
     pytest.param("fake-gaussian", _edit(lambda p: p.pop("violations")), "does not report",
                  id="violations-deleted"),
     # well-formed records that no run of these sweeps reports: (6, 3, 1) is

@@ -590,47 +590,6 @@ def test_fake_gaussian_checkpoint_counts_are_rederived(tmp_path, edit):
         sweep_fake_gaussian("aba", 0, 1000, checkpoint=str(path), resume=True)
 
 
-def test_sweep_checkpoint_mismatch_refused(tmp_path):
-    path = str(tmp_path / "c1.ckpt")
-    sweep_conjecture1(20, checkpoint=path, stop_after=3)
-    with pytest.raises(CheckpointMismatch):
-        sweep_conjecture1(25, checkpoint=path, resume=True)
-
-
-def test_sweep_checkpoint_corrupt_refused(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("not json at all{")
-    with pytest.raises(CheckpointMismatch):
-        sweep_conjecture1(20, checkpoint=str(path), resume=True)
-
-
-def test_sweep_checkpoint_wrong_format_refused(tmp_path):
-    path = tmp_path / "old.ckpt"
-    path.write_text(json.dumps({"format": "qpositivity-checkpoint/0"}))
-    with pytest.raises(CheckpointMismatch):
-        sweep_conjecture1(20, checkpoint=str(path), resume=True)
-    # format /1 stored violations without their units; it is refused even
-    # when nothing else in the checkpoint differs
-    sweep_conjecture1(20, checkpoint=str(path), stop_after=3)
-    payload = json.loads(path.read_text())
-    path.write_text(json.dumps({**payload, "format": "qpositivity-checkpoint/1"}))
-    with pytest.raises(CheckpointMismatch):
-        sweep_conjecture1(20, checkpoint=str(path), resume=True)
-
-
-@pytest.mark.parametrize("missing", ["cursor", "counts", "violations"])
-def test_sweep_checkpoint_incomplete_refused(tmp_path, missing):
-    path = str(tmp_path / "c1.ckpt")
-    sweep_conjecture1(20, checkpoint=path, stop_after=3)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    del payload[missing]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    with pytest.raises(CheckpointMismatch):
-        sweep_conjecture1(20, checkpoint=path, resume=True)
-
-
 _FG_PARAMS = {"template": "aa", "samples": 10, "value_max": 10, "m_span": 200, "seed": 1}
 
 _VIOLATION = CheckResult(
@@ -884,16 +843,6 @@ def test_resume_under_another_seed_is_refused_before_anything_runs(tmp_path, mon
     assert units == recounts == []
 
 
-@pytest.mark.parametrize("value", [0, None], ids=["zero", "null"])
-def test_checkpoint_with_an_extra_top_level_key_refused(tmp_path, value):
-    path = tmp_path / "c1.ckpt"
-    sweep_conjecture1(20, checkpoint=str(path), stop_after=3)
-    payload = json.loads(path.read_text())
-    path.write_text(json.dumps({**payload, "wall_time": value}))
-    with pytest.raises(CheckpointMismatch, match="holds wall_time that .* does not derive"):
-        sweep_conjecture1(20, checkpoint=str(path), resume=True)
-
-
 def test_resume_without_a_checkpoint_is_refused():
     with pytest.raises(ValueError, match="resume requires a checkpoint"):
         sweep_conjecture1(8, resume=True)
@@ -901,11 +850,13 @@ def test_resume_without_a_checkpoint_is_refused():
         sweep_fake_gaussian("aa", seed=1, samples=10, resume=True)
 
 
-def test_sweep_checkpoint_io_error_propagates(tmp_path):
+def test_sweep_checkpoint_io_error_propagates(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
+    units = _recorded(monkeypatch, "_conjecture1_unit")
     with pytest.raises(OSError):
         sweep_conjecture1(8, checkpoint=str(blocker / "ckpt"))
+    assert units == []
 
 
 def test_sweep_stop_after_zero_does_nothing(tmp_path):
