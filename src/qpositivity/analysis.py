@@ -8,6 +8,8 @@ pay for the full property record.
 from __future__ import annotations
 
 import dataclasses
+from itertools import compress, count
+from operator import ge, gt
 
 from .qpoly import IntPolynomial, PackedSeries
 
@@ -70,15 +72,13 @@ def is_reciprocal(p: IntPolynomial) -> bool:
 
 
 def _unimodal_sequence(cs) -> bool:
-    # nonneg endpoints plus rise-then-fall; interior nonnegativity follows
+    # nonneg endpoints plus rise-then-fall; interior nonnegativity follows.
+    # The peak is the first i with cs[i] > cs[i+1], and nothing after it
+    # may rise; both passes run at C speed.
     if not cs:
         return True
-    i = 0
-    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
-        i += 1
-    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
-        i += 1
-    return i == len(cs) - 1 and cs[0] >= 0 and cs[-1] >= 0
+    peak = next(compress(count(), map(gt, cs, cs[1:])), len(cs) - 1)
+    return all(map(ge, cs[peak:], cs[peak + 1 :])) and cs[0] >= 0 and cs[-1] >= 0
 
 
 def is_unimodal(p: IntPolynomial) -> bool:

@@ -600,9 +600,10 @@ def _crosscheck_unit(n: int):
     """Both theorems' admissible k ranges for one n; the per-n work unit.
 
     The brute-force side reads each expansion off one exact Gaussian row
-    (quotient_expansions), stepped up k = 0 .. n//2 and finished for l = 1
-    and 2 by exact steps whose failed division is the NotDivisible verdict;
-    (n, k, l) and (n, n-k, l) are one expression, looked up by min(k, n-k).
+    (quotient_expansions), stepped up k = 0 .. n//2, and l = 2 stepped on
+    from l = 1 when that is a polynomial, by exact steps whose failed
+    division is the NotDivisible verdict; (n, k, l) and (n, n-k, l) are one
+    expression, looked up by min(k, n-k).
     """
     examined = 0
     polynomial = 0
@@ -614,7 +615,6 @@ def _crosscheck_unit(n: int):
     ):
         for k in k_range:
             examined += 1
-            spec = QuotientSpec(n, k, l)
             p = expansions[min(k, n - k), l]
             brute = p is not NotDivisible
             polynomial += brute
@@ -625,6 +625,7 @@ def _crosscheck_unit(n: int):
             elif brute and not nonnegativity(p)[0]:
                 note = "polynomial expansion has a negative coefficient"
             if note:
+                spec = QuotientSpec(n, k, l)
                 violations.append(CheckResult(spec, spec, brute, VERDICT_VIOLATION, note=note))
     return examined, polynomial, violations
 

@@ -24,9 +24,10 @@ lower half of a reciprocal polynomial.
 
 The theorem crosscheck, which must find the non-polynomials by a failed
 division, reads every F(n,k,l) of one n off one exact Gaussian row on
-coefficient lists: G(n,k) stepped up k, and at each k multiplied by
-(1-q) .. (1-q^l) and divided by (1-q^n) .. (1-q^(n-l+1)), the first
-division that fails giving NotDivisible.
+coefficient lists: G(n,k) stepped up k, and at each k each l stepped from
+the last polynomial F(n,k,l') found for that k, G(n,k) at first, by
+multiplying by (1-q^(l'+1)) .. (1-q^l) and dividing by (1-q^(n-l')) ..
+(1-q^(n-l+1)), the first division that fails giving NotDivisible.
 
 Stanton's reproduction reads every fake Gaussian product F(m) of one
 exponent sequence off one chain in m: F(m+1) is F(m) multiplied and
@@ -354,11 +355,13 @@ def quotient_expansions(n: int, ls):
     p is the expansion of F(n,k,l) = G(n,k) prod_(j<=l) (1-q^j) /
     prod_(j<l) (1-q^(n-j)), or NotDivisible.  One exact Gaussian row G(n,k)
     steps up k by (1-q^(n-k+1))/(1-q^k), every division exact (asserted).
-    At each k the row is multiplied by (1-q) .. (1-q^l), then divided by
-    (1-q^n) .. (1-q^(n-l+1)).  When F is a polynomial, each partial
-    quotient is F times the denominators still to divide, so no division
-    fails; otherwise one does, and p is NotDivisible, the outcome of that
-    failed division.
+    At each k, each l steps from the last polynomial F(n,k,l') of that k,
+    or from G(n,k) (l' = 0) at first, after a NotDivisible and when l < l':
+    multiplied by (1-q^(l'+1)) .. (1-q^l), then divided by (1-q^(n-l')) ..
+    (1-q^(n-l+1)).
+    When F(n,k,l) is a polynomial, each partial quotient is F(n,k,l) times
+    the divisors still to come, so no division fails; otherwise one does,
+    and p is NotDivisible, the outcome of that failed division.
 
     >>> [(k, p) for k, _, p in quotient_expansions(5, [1])]
     [(0, NotDivisible), (1, IntPolynomial(1)), (2, IntPolynomial(1 + q^2))]
@@ -368,14 +371,17 @@ def quotient_expansions(n: int, ls):
         if k:
             row = _div_one_minus_qk_list(_mul_one_minus_qm_list(row, n - k + 1), k)
             assert row is not None, f"Gaussian row G({n},{k}) left a remainder"
+        coeffs, last_l = row, 0  # F(n,k,last_l), or None after a refusal
         for l in ls:
-            coeffs = row
-            for j in range(1, l + 1):
+            if coeffs is None or l < last_l:
+                coeffs, last_l = row, 0
+            for j in range(last_l + 1, l + 1):
                 coeffs = _mul_one_minus_qm_list(coeffs, j)
-            for j in range(l):
-                coeffs = _div_one_minus_qk_list(coeffs, n - j)
+            for j in range(n - last_l, n - l, -1):
+                coeffs = _div_one_minus_qk_list(coeffs, j)
                 if coeffs is None:
                     break
+            last_l = l
             yield k, l, NotDivisible if coeffs is None else IntPolynomial(coeffs)
 
 

@@ -7,14 +7,16 @@ vectors have essentially no gaps, and the sweeps are throughput-bound.
 Coefficients are plain Python ints; central coefficients of large Gaussian
 polynomials overflow any fixed-width type, so no numpy shortcuts.
 
-The kernels keep their inner loops in C without leaving Python ints.  One
-pair of in-place kernels multiplies or divides a power series, truncated
-to its list length, by (1 - q^k): a slice subtraction, or a prefix sum per
-residue class or a slice add per block.  The exact list steps and the
-cyclotomic polynomials are built on that pair.  poly_mul adds one shifted
-row per nonzero term of its sparser operand.  PackedSeries holds a
-truncated series as one int, a fixed-width field per coefficient (Kronecker
-substitution), and takes the same two steps by shifts, adds and masks.
+The kernels keep their inner loops in C without leaving Python ints.  The
+exact list steps multiply or divide a coefficient list by (1 - q^k) into
+a new list, writing each coefficient once: the product as its low terms,
+a slice difference and its negated top terms, the quotient by a prefix sum
+per residue class or a slice add per block.  expand, the crosscheck's
+Gaussian row, Stanton's chain and the cyclotomic polynomials are built on
+them.  poly_mul adds one shifted row per nonzero term of its sparser
+operand.  PackedSeries holds a truncated series as one int, a fixed-width
+field per coefficient (Kronecker substitution), and takes the same two
+steps by shifts, adds and masks.
 
 A failed exact division yields a value, not an exception: the list step
 returns None, and the expansions built on it return the ``NotDivisible``
@@ -26,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -137,28 +139,6 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _mul_one_minus_qm_series(coeffs: list[int], m: int) -> None:
-    # In place: the power series coeffs times (1 - q^m), truncated to
-    # len(coeffs) terms; an m at or past the truncation acts as 1.
-    # map stops at the shorter input, and the slice assignment takes all
-    # of its values before it writes, so coeffs is read unchanged
-    coeffs[m:] = map(sub, coeffs[m:], coeffs)
-
-
-def _div_one_minus_qk_series(coeffs: list[int], k: int) -> None:
-    # In place: the power series coeffs over (1 - q^k), truncated to
-    # len(coeffs) terms, by c_i = a_i + c_{i-k}, in whichever loop takes
-    # fewer passes: for k*k <= len a prefix sum per residue class mod k,
-    # otherwise a slice add per block of k terms, the last possibly partial.
-    size = len(coeffs)
-    if k * k <= size:
-        for r in range(k):
-            coeffs[r::k] = itertools.accumulate(coeffs[r::k])
-    else:
-        for i in range(k, size, k):
-            coeffs[i : i + k] = map(add, coeffs[i : i + k], coeffs[i - k : i])
-
-
 class PackedSeries:
     """A power series c_0 + c_1 q + ... mod q^length, packed into one int.
 
@@ -257,19 +237,36 @@ class PackedSeries:
 
 
 def _mul_one_minus_qm_list(coeffs: list[int], m: int) -> list[int]:
-    # Product with (1 - q^m): the series kernel on coeffs padded with m zeros.
-    out = coeffs + [0] * m if coeffs else []
-    _mul_one_minus_qm_series(out, m)
+    # Product with (1 - q^m), each coefficient written once: the low m
+    # terms, zeros up to q^m when m is past the list, the differences
+    # a_i - a_(i-m), and the top m terms negated.  coeffs is read only,
+    # since the crosscheck row is shared across l.
+    if not coeffs:
+        return []
+    out = coeffs[:m]
+    out += [0] * (m - len(coeffs))
+    out += map(sub, coeffs[m:], coeffs)
+    out += map(neg, coeffs[-m:])
     return out
 
 
 def _div_one_minus_qk_list(coeffs: "list[int] | tuple[int, ...]", k: int) -> "list[int] | None":
-    # Exact quotient by (1 - q^k): the series kernel on a copy.  Past the
-    # list every a_i is 0, so the series stops exactly when its top k terms
-    # vanish, and then the rest is the quotient.
-    out = list(coeffs)
-    _div_one_minus_qk_series(out, k)
-    top = max(len(out) - k, 0)
+    # Exact quotient by (1 - q^k), by c_i = a_i + c_(i-k) on the series,
+    # in whichever loop takes fewer passes: for k*k <= len a prefix sum per
+    # residue class mod k, otherwise one block of k terms at a time, each
+    # written once, the last possibly partial.  Past the list every a_i is
+    # 0, so the series stops exactly when its top k terms vanish, and then
+    # the rest is the quotient.
+    size = len(coeffs)
+    if k * k <= size:
+        out = list(coeffs)
+        for r in range(k):
+            out[r::k] = itertools.accumulate(out[r::k])
+    else:
+        out = list(coeffs[:k])
+        for i in range(k, size, k):
+            out += map(add, coeffs[i : i + k], out[i - k : i])
+    top = max(size - k, 0)
     if any(out[top:]):
         return None
     del out[top:]

@@ -9,10 +9,13 @@ cyclotomic_exponent counts one C_d at a time, the reference of the
 exponent profile and of the closed-form exponents of Theorems 8 and 9
 in _paper;
 factorial_quotient_factors counts tops for each argument, the reference
-of from_factorials; packed builds a PackedSeries from its digits.
+of from_factorials; packed builds a PackedSeries from its digits, and
+mul_one_minus_qm_series and div_one_minus_qk_series step a truncated
+series in place, the reference of the PackedSeries steps.
 """
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import add, sub
 
 from qpositivity.qexpr import FactoredQExpression
 from qpositivity.qpoly import IntPolynomial, NotDivisible, PackedSeries, _NotDivisibleType
@@ -116,3 +119,35 @@ def packed(coeffs, width: int) -> PackedSeries:
     for c in reversed(coeffs):
         value = (value << width) + c
     return PackedSeries(value, width, len(coeffs))
+
+
+def mul_one_minus_qm_series(coeffs: list, m: int) -> None:
+    """In place: the power series coeffs times (1 - q^m), truncated to its length.
+
+    An m at or past the truncation acts as 1.
+
+    >>> s = [1, 2, 3, 4]; mul_one_minus_qm_series(s, 1); s
+    [1, 1, 1, 1]
+    """
+    # map stops at the shorter input, and the slice assignment takes all
+    # of its values before it writes, so coeffs is read unchanged
+    coeffs[m:] = map(sub, coeffs[m:], coeffs)
+
+
+def div_one_minus_qk_series(coeffs: list, k: int) -> None:
+    """In place: the power series coeffs over (1 - q^k), truncated to its length.
+
+    By c_i = a_i + c_(i-k), in whichever loop takes fewer passes: for
+    k*k <= len a prefix sum per residue class mod k, otherwise a slice add
+    per block of k terms, the last possibly partial.
+
+    >>> s = [1, 1, 1, 1]; div_one_minus_qk_series(s, 1); s
+    [1, 2, 3, 4]
+    """
+    size = len(coeffs)
+    if k * k <= size:
+        for r in range(k):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+    else:
+        for i in range(k, size, k):
+            coeffs[i : i + k] = map(add, coeffs[i : i + k], coeffs[i - k : i])

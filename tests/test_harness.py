@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpositivity.harness
-from _reference import packed
+from _reference import div_one_minus_qk_series, mul_one_minus_qm_series, packed
 from qpositivity.analysis import nonnegativity, property_record
 from qpositivity.harness import (
     CHECKPOINT_FORMAT,
@@ -52,12 +52,7 @@ from qpositivity.qexpr import (
     quotient_degree,
     quotient_lower_halves,
 )
-from qpositivity.qpoly import (
-    IntPolynomial,
-    NotDivisible,
-    _div_one_minus_qk_series,
-    _mul_one_minus_qm_series,
-)
+from qpositivity.qpoly import IntPolynomial, NotDivisible
 
 
 def test_doctests():
@@ -360,14 +355,14 @@ def _list_lower_halves(n, rows):
     k_row = 0
     for k, ls in rows:
         for j in range(k_row + 1, k + 1):
-            _mul_one_minus_qm_series(row, n - j + 1)
-            _div_one_minus_qk_series(row, j)
+            mul_one_minus_qm_series(row, n - j + 1)
+            div_one_minus_qk_series(row, j)
         k_row, series, l_series = k, row[:], 0
         for l in ls:
             del series[quotient_degree(n, k, l) // 2 + 1 :]
             for j in range(l_series, l):
-                _mul_one_minus_qm_series(series, j + 1)
-                _div_one_minus_qk_series(series, n - j)
+                mul_one_minus_qm_series(series, j + 1)
+                div_one_minus_qk_series(series, n - j)
             l_series = l
             yield k, l, series[:]
 

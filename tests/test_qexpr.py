@@ -1,6 +1,7 @@
 """Tests for factored expressions and the two expansion routes."""
 
 import doctest
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -291,8 +292,9 @@ class TestExpansion:
         balance = -sum(x for _, x in e.factors)
         sides = [m for m, x in ((1, balance), *e.factors) for _ in range(abs(x))]
         assert sorted(m for _, m in calls) == sorted(sides)
-        # the Gaussian row's steps, then each l's multiplications and its
-        # divisions up to the first that fails
+        # the Gaussian row's steps, then each l's steps from the last
+        # polynomial of its k: multiplications, then divisions up to the
+        # first that fails
         calls.clear()
         assert list(quotient_expansions(5, [1, 2])) == [
             (0, 1, NotDivisible), (0, 2, NotDivisible),
@@ -302,8 +304,8 @@ class TestExpansion:
         mul, div = "_mul_one_minus_qm_list", "_div_one_minus_qk_list"
         assert calls == [
             (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5),
-            (mul, 5), (div, 1), (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5), (div, 4),
-            (mul, 4), (div, 2), (mul, 1), (div, 5), (mul, 1), (mul, 2), (div, 5), (div, 4),
+            (mul, 5), (div, 1), (mul, 1), (div, 5), (mul, 2), (div, 4),
+            (mul, 4), (div, 2), (mul, 1), (div, 5), (mul, 2), (div, 4),
         ]
         # Stanton's chain in m: m=1 as expand takes it, then per m the
         # (1 - q^(m-1+x)) steps where the sequence rises (x = 3, 10, 18)
@@ -332,6 +334,33 @@ class TestExpansion:
                 assert p == expand(from_quotient_spec(QuotientSpec(n, k, l))), (n, k, l)
         # Theorem 8 refuses F(12, 2, 1) = [11]/[2]: gcd(k, n-k) = gcd(2, 10) = 2
         assert list(quotient_expansions(12, [1]))[2] == (2, 1, NotDivisible)
+
+    def test_every_ls_matches_expand(self):
+        # each l steps from the last polynomial of its k, or from G(n,k)
+        # after a refusal or a smaller l: gaps, a leading 0, a repeated l,
+        # a descent and a refusal followed by a polynomial take paths that
+        # ls = (1, 2) does not.  Each ls rises through a subset of 0..5 and
+        # falls back through it.
+        refused_then_polynomial = 0
+        for n in range(31):
+            top = min(n, 5)
+            ks = range(n // 2 + 1)
+            want = {
+                (k, l): expand(from_quotient_spec(QuotientSpec(n, k, l)))
+                for k in ks
+                for l in range(top + 1)
+            }
+            for size in range(1, top + 2):
+                for rise in itertools.combinations(range(top + 1), size):
+                    ls = rise + rise[::-1]
+                    got = list(quotient_expansions(n, ls))
+                    assert got == [(k, l, want[k, l]) for k in ks for l in ls], (n, ls)
+            refused_then_polynomial += sum(
+                want[k, l] is NotDivisible and want[k, l + 1] is not NotDivisible
+                for k in ks
+                for l in range(top)
+            )
+        assert refused_then_polynomial
 
     @pytest.mark.parametrize("a", [
         STANTON_SEQUENCE, (0, 1), (1,), (), (2, 0, 1), (1, 2, 1), (0, 0, 3), (3, 1, 0, 2),

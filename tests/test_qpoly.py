@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 import _reference
 import qpositivity.qpoly as qpoly
-from _reference import add_coeffs, gaussian_rows, packed, poly_div_exact
+from _reference import (
+    add_coeffs,
+    div_one_minus_qk_series,
+    gaussian_rows,
+    mul_one_minus_qm_series,
+    packed,
+    poly_div_exact,
+)
 from qpositivity.analysis import nonnegativity
 from qpositivity.qexpr import QuotientSpec, expand, from_quotient_spec, quotient_expansions
 from qpositivity.qpoly import (
@@ -262,8 +269,8 @@ def size_and_step(draw):
 
 
 class TestTruncatedSeriesKernels:
-    # the in-place kernels behind the Conjecture 1 row chain and the list
-    # steps, against poly_mul and the schoolbook poly_div_exact
+    # the in-place reference kernels of the PackedSeries steps, against
+    # poly_mul and the schoolbook poly_div_exact
 
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
     @example([BIG, -1, 0, 1, -(BIG << 10)], (4, 4))
@@ -272,7 +279,7 @@ class TestTruncatedSeriesKernels:
     def test_mul_matches_untruncated(self, a, size_step):
         size, m = size_step
         series = _truncated(a, size)
-        qpoly._mul_one_minus_qm_series(series, m)
+        mul_one_minus_qm_series(series, m)
         assert series == _truncated(poly_mul(IntPolynomial(a), one_minus_q(m)).coeffs, size)
 
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
@@ -286,7 +293,7 @@ class TestTruncatedSeriesKernels:
         a = poly_mul(IntPolynomial(b), one_minus_q(k))
         assert poly_div_exact(a, one_minus_q(k)) == IntPolynomial(b)
         series = _truncated(a.coeffs, size)
-        qpoly._div_one_minus_qk_series(series, k)
+        div_one_minus_qk_series(series, k)
         assert series == _truncated(b, size)
 
     @given(st.lists(mul_coeffs, max_size=30), size_and_step())
@@ -295,7 +302,7 @@ class TestTruncatedSeriesKernels:
         # the power series quotient exists whether or not a polynomial does
         size, k = size_step
         series = _truncated(a, size)
-        qpoly._div_one_minus_qk_series(series, k)
+        div_one_minus_qk_series(series, k)
         back = poly_mul(IntPolynomial(series), one_minus_q(k)).coeffs
         assert _truncated(back, size) == _truncated(a, size)
 
@@ -317,6 +324,9 @@ class TestListKernels:
     @given(st.lists(mul_coeffs, max_size=30), st.integers(1, 40))
     @example([], 3)
     @example([BIG << 10, 0, -1], 5)
+    @example([3, -1, 4, 1, -5], 4)  # m == len - 1
+    @example([3, -1, 4, 1, -5], 5)  # m == len
+    @example([3, -1, 4, 1, -5], 6)  # m == len + 1
     def test_mul_matches_poly_mul(self, a, m):
         got = qpoly._mul_one_minus_qm_list(a, m)
         assert len(got) == (len(a) + m if a else 0)
@@ -333,6 +343,8 @@ class TestListKernels:
     @example(([1, 0, 0, -1, -1, 0, 0, 1], 2))  # (1-q^4)(1-q^3)/(1-q^2)
     @example(([1, 0, 0, 0, 0, -1], 2))  # (1-q^5)/(1-q^2), not divisible
     @example(([1], 5))  # k past the length, not divisible
+    @example(([1, 2, 3, 3, 3, -3, -4, -5], 3))  # k*k == len + 1, the last block partial
+    @example(([1, 2, 3, 3, 3, -3, -4, -4], 3))  # the same, not divisible
     def test_div_matches_poly_div_exact(self, case):
         a, k = case
         want = poly_div_exact(IntPolynomial(a), one_minus_q(k))
@@ -413,7 +425,7 @@ class TestPackedSeries:
         # exact mod 2^(width length): only the final digits have to fit
         series = list(a)
         for divide, j in steps:
-            (qpoly._div_one_minus_qk_series if divide else qpoly._mul_one_minus_qm_series)(series, j)
+            (div_one_minus_qk_series if divide else mul_one_minus_qm_series)(series, j)
         width = max(max(map(abs, series)), abs(sum(series))).bit_length() + 2
         s = packed(a, width)
         for divide, j in steps:
