@@ -49,7 +49,7 @@ from .qexpr import (
 )
 from .qpoly import IntPolynomial, NotDivisible
 
-CHECKPOINT_FORMAT = "qpositivity-checkpoint/2"
+CHECKPOINT_FORMAT = "qpositivity-checkpoint/3"
 REPORT_SCHEMA = "qpositivity-report/1"
 
 VERDICT_NOT_POLYNOMIAL = "not-polynomial"
@@ -282,9 +282,9 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
     violations this build derives.  Format, sweep and params are compared
     before anything runs, then the cursor must be 0 or end a unit.  The
     counts sum recount(task), a unit's cheap (examined, polynomial), over
-    the passed units.  The passed units that the stored [unit cursor,
-    record] pairs name run again for the violations; a passed unit that no
-    pair names is trusted as clean.
+    the passed units.  The file stores each violation as its unit's cursor
+    only; the passed units those int cursors name run again, and give the
+    records, and a passed unit that no cursor names is trusted as clean.
     """
     counts = {"examined": 0, "polynomial": 0, "violations": 0}
     if not (resume and os.path.exists(path)):
@@ -300,9 +300,8 @@ def _resume_state(path: "str | None", resume: bool, sweep_id: str, params: dict,
     cursor = data.get("cursor")
     if not (type(cursor) is int and (cursor == 0 or cursor in [c for c, _ in units])):
         raise CheckpointMismatch(f"checkpoint {path} has a cursor that ends no unit")
-    pairs = data.get("violations")
-    pairs = pairs if isinstance(pairs, list) else []
-    named = {p[0] for p in pairs if isinstance(p, list) and p and type(p[0]) is int}
+    listed = data.get("violations")
+    named = {c for c in listed if type(c) is int} if isinstance(listed, list) else set()
     violations = [
         (c, v) for c, task in units if c <= cursor and c in named for v in unit_fn(task)[2]
     ]
@@ -327,7 +326,7 @@ def _checkpoint_payload(sweep_id, params, cursor, counts, violations) -> dict:
         "params": params,
         "cursor": cursor,
         "counts": dict(counts),
-        "violations": [[c, v.to_dict()] for c, v in violations],
+        "violations": [c for c, _ in violations],
     }
 
 
@@ -362,13 +361,14 @@ def _run_units(
     (or fresh), the units past the cursor remain, and at most stop_after
     of them run.  Each unit_fn(task) returns (examined, polynomial,
     violations); the results are merged in unit order, whatever the worker
-    count, and the checkpoint, which stores each violation with its unit's
+    count, and the checkpoint, which stores each violation as its unit's
     cursor, is rewritten after every merged unit.  resume needs a
     checkpoint, and a recount(task) that gives a unit's (examined,
     polynomial) without running it; a missing file starts fresh.  A
     checkpoint resumes only if it equals the payload this build derives at
-    its cursor: the units its violations name run again, and the other
-    passed units are trusted as clean (see _resume_state).
+    its cursor: the units its violation cursors name run again and give the
+    reported records, and the other passed units are trusted as clean (see
+    _resume_state).
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -380,9 +380,12 @@ def _run_units(
         if not os.path.basename(checkpoint) or os.path.isdir(checkpoint):
             raise ValueError(f"checkpoint path {checkpoint!r} names no file")
         # a path that cannot be written fails here, before any unit runs
-        os.makedirs(os.path.dirname(checkpoint) or os.curdir, exist_ok=True)
-        open(checkpoint + ".tmp", "w").close()
-        os.remove(checkpoint + ".tmp")
+        try:
+            os.makedirs(os.path.dirname(checkpoint) or os.curdir, exist_ok=True)
+            open(checkpoint + ".tmp", "w").close()
+            os.remove(checkpoint + ".tmp")
+        except OSError as exc:
+            raise OSError(f"cannot write checkpoint {checkpoint!r}: {exc}") from exc
     cursor, counts, violations = _resume_state(
         checkpoint, resume, sweep_id, params, units, unit_fn, recount
     )
@@ -553,8 +556,8 @@ def sweep_fake_gaussian(
     """
     if template not in FAKE_GAUSSIAN_TEMPLATES:
         raise ValueError(f"template must be one of {FAKE_GAUSSIAN_TEMPLATES}")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if value_max < 0:
         raise ValueError("value_max must be nonnegative")
     if m_span < 1:

@@ -10,13 +10,14 @@ polynomials overflow any fixed-width type, so no numpy shortcuts.
 The kernels keep their inner loops in C without leaving Python ints.  The
 exact list steps multiply or divide a coefficient list by (1 - q^k) into
 a new list, writing each coefficient once: the product as its low terms,
-a slice difference and its negated top terms, the quotient by a prefix sum
-per residue class or a slice add per block.  expand, the crosscheck's
-Gaussian row, Stanton's chain and the cyclotomic polynomials are built on
-them.  poly_mul adds one shifted row per nonzero term of its sparser
-operand.  PackedSeries holds a truncated series as one int, a fixed-width
-field per coefficient (Kronecker substitution), and takes the same two
-steps by shifts, adds and masks.
+a slice difference and its negated top terms, the quotient by one map
+that adds each term to the quotient term k below it, read back from the
+list as it grows.  expand, the crosscheck's Gaussian row, Stanton's chain
+and the cyclotomic polynomials are built on them.  poly_mul adds one
+shifted row per nonzero term of its sparser operand.  PackedSeries holds
+a truncated series as one int, a fixed-width field per coefficient
+(Kronecker substitution), and takes the same two steps by shifts, adds
+and masks.
 
 A failed exact division yields a value, not an exception: the list step
 returns None, and the expansions built on it return the ``NotDivisible``
@@ -252,21 +253,14 @@ def _mul_one_minus_qm_list(coeffs: list[int], m: int) -> list[int]:
 
 def _div_one_minus_qk_list(coeffs: "list[int] | tuple[int, ...]", k: int) -> "list[int] | None":
     # Exact quotient by (1 - q^k), by c_i = a_i + c_(i-k) on the series,
-    # in whichever loop takes fewer passes: for k*k <= len a prefix sum per
-    # residue class mod k, otherwise one block of k terms at a time, each
-    # written once, the last possibly partial.  Past the list every a_i is
-    # 0, so the series stops exactly when its top k terms vanish, and then
-    # the rest is the quotient.
-    size = len(coeffs)
-    if k * k <= size:
-        out = list(coeffs)
-        for r in range(k):
-            out[r::k] = itertools.accumulate(out[r::k])
-    else:
-        out = list(coeffs[:k])
-        for i in range(k, size, k):
-            out += map(add, coeffs[i : i + k], out[i - k : i])
-    top = max(size - k, 0)
+    # in one pass that writes each term once.  Reading out while += extends
+    # it is sound: map reads out[j] only once out holds k+j entries, as the
+    # list iterator checks its index against the length at each step.
+    # Past the list every a_i is 0, so the series stops exactly when its
+    # top k terms vanish, and then the rest is the quotient.
+    out = list(coeffs[:k])
+    out += map(add, coeffs[k:], out)
+    top = max(len(coeffs) - k, 0)
     if any(out[top:]):
         return None
     del out[top:]

@@ -26,7 +26,6 @@ from qpositivity.harness import canonical_json
 from qpositivity.qpoly import IntPolynomial, NotDivisible
 from test_harness import (
     _GENUINE_CHECKPOINTS,
-    _PROPERTIES,
     _STANTON_VIOLATION,
     _VIOLATING,
     _VIOLATION,
@@ -336,6 +335,7 @@ BAD_ARGV = [
     ["check", "--fake-gaussian", "1", "1,-2"],
     ["sweep", "conjecture1", "--n-max", "1"],
     ["sweep", "fake-gaussian", "--samples", "-1"],
+    ["sweep", "fake-gaussian", "--samples", "0"],
     ["sweep", "fake-gaussian", "--samples", "5", "--value-max", "-1"],
     ["sweep", "fake-gaussian", "--samples", "5", "--m-span", "-500"],
     ["sweep", "fake-gaussian", "--samples", "5", "--m-span", "0"],
@@ -571,15 +571,23 @@ def _counts_moved(**deltas):
     return _edit(lambda p: p["counts"].update({f: p["counts"][f] + d for f, d in deltas.items()}))
 
 
-def _fabricated(unit, record, at_cursor_0=False):
-    """The edit that adds record, and its count, as a violation of the unit
-    ending at cursor unit; at_cursor_0 also moves the file to cursor 0,
-    with the counts of no passed unit, so that the unit has not run."""
+def _fabricated(violation, at_cursor_0=False):
+    """The edit that adds violation, and its count; at_cursor_0 also moves
+    the file to cursor 0, with the counts of no passed unit."""
     def change(payload):
         if at_cursor_0:
             payload.update(cursor=0, counts=dict.fromkeys(payload["counts"], 0))
-        payload["violations"].append([unit, record])
+        payload["violations"].append(violation)
         payload["counts"]["violations"] += 1
+    return _edit(change)
+
+
+def _cursor_dropped(index, count=-1):
+    """The edit that deletes the stored cursor at index, and moves the
+    violation count by count."""
+    def change(payload):
+        del payload["violations"][index]
+        payload["counts"]["violations"] += count
     return _edit(change)
 
 
@@ -594,6 +602,9 @@ _PINNED_EDITS = [
                  "differs in format", id="format-1"),
     pytest.param("conjecture1-clean", lambda p: json.dumps({"format": "qpositivity-checkpoint/0"}),
                  "differs in format", id="format-0"),
+    # format 2 stored each violation as a record; this build writes format 3
+    pytest.param("conjecture1-clean", _edit(lambda p: p.update(format="qpositivity-checkpoint/2")),
+                 "differs in format", id="format-2"),
     pytest.param("conjecture1-clean", _edit(lambda p: p["params"].update(n_max=41)),
                  "differs in params", id="n-max-41"),
     pytest.param("conjecture1-clean", _edit(lambda p: p.update(cursor=11.0)),
@@ -608,6 +619,13 @@ _PINNED_EDITS = [
                  id="examined-down-polynomial-up"),
     pytest.param("conjecture1-clean", _counts_moved(polynomial=-1), "holds counts that",
                  id="polynomial-down"),
+    pytest.param("conjecture1-clean", _counts_moved(polynomial=1), "holds counts that",
+                 id="polynomial-up"),
+    # n = 2 and 3 hold no triple, so nothing is examined at cursor 3
+    pytest.param("conjecture1-clean",
+                 _edit(lambda p: p.update(cursor=3, counts={**dict.fromkeys(p["counts"], 0),
+                                                            "examined": 1})),
+                 "holds counts that", id="examined-0-to-1-at-cursor-3"),
     # a count with no record to match, and counts in another form or gone
     pytest.param("conjecture1-clean", _counts_moved(violations=1), "does not derive",
                  id="violations-count-up"),
@@ -624,17 +642,36 @@ _PINNED_EDITS = [
                  "holds wall_time that", id="wall-time-null"),
     pytest.param("fake-gaussian", _edit(lambda p: p.pop("violations")), "does not report",
                  id="violations-deleted"),
-    # well-formed records that no run of these sweeps reports: (6, 3, 1) is
-    # not a polynomial, and the aa template never draws Stanton's m=1 spec
-    pytest.param("conjecture1-clean",
-                 _fabricated(6, {**_VIOLATION, "properties": _PROPERTIES, "note": "restored"}),
-                 "does not report", id="fabricated-6-3-1"),
+    # a violation of a unit that records none, such as (6, 3, 1), which is
+    # not a polynomial, or of a unit past the cursor
+    pytest.param("conjecture1-clean", _fabricated(6), "does not report", id="fabricated-6-3-1"),
+    pytest.param("conjecture1-clean", _fabricated(12), "does not report",
+                 id="violation-past-the-cursor"),
+    pytest.param("fake-gaussian-complete", _fabricated(30), "does not report",
+                 id="cursor-30-added"),
+    # one of a unit's two cursors dropped, or one more: the list differs;
+    # all of a unit's cursors dropped: the count differs
+    pytest.param("fake-gaussian", _cursor_dropped(0), "does not report",
+                 id="one-of-two-equal-cursors-dropped"),
+    pytest.param("fake-gaussian", _fabricated(10), "does not report", id="cursor-10-repeated"),
+    pytest.param("fake-gaussian", _cursor_dropped(slice(2, None), count=0), "does not derive",
+                 id="unit-10-cursors-dropped"),
+    pytest.param("fake-gaussian", _edit(lambda p: p["violations"].__setitem__(0, 5.0)),
+                 "does not report", id="cursor-5.0"),
+    # cursors of units the cursor has not passed, with the counts of no
+    # passed unit but theirs
+    pytest.param("conjecture1",
+                 _edit(lambda p: p.update(cursor=0, counts={**dict.fromkeys(p["counts"], 0),
+                                                            "violations": 10})),
+                 "does not report", id="cursors-at-cursor-0"),
+    # format 2's records, which no run of these sweeps reports: the aa
+    # template never draws Stanton's m=1 spec
     *(pytest.param("fake-gaussian-complete",
-                   _fabricated(30, {**_STANTON_VIOLATION, "note": note}, at_0),
+                   _fabricated([30, {**_STANTON_VIOLATION, "note": note}], at_0),
                    "does not report", id=f"stanton-note-{label}-at-cursor-{0 if at_0 else 30}")
       for note, label in [(None, "null"), ("sample 3", "sample-3")] for at_0 in (False, True)),
     *(pytest.param("fake-gaussian-complete",
-                   _fabricated(30, {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}),
+                   _fabricated([30, {**_STANTON_VIOLATION, field: _VIOLATION["spec"]}]),
                    "does not report", id=f"stanton-quotient-{field}")
       for field in ("spec", "normalized_spec")),
 ]
@@ -650,10 +687,10 @@ def test_checkpoint_nested_to_the_recursion_limit_is_refused():
     # can write back from further down the stack: every depth up to the
     # limit must be refused, none may end in a RecursionError
     payload = json.loads(_genuine_text("conjecture1"))
-    spec = payload["violations"][0][1]["spec"]
-    payload["violations"][0][1]["spec"] = _NEST
+    cursor = payload["violations"][0]
+    payload["violations"][0] = _NEST
     for depth in range(sys.getrecursionlimit() - 200, sys.getrecursionlimit()):
-        nested = "[" * depth + json.dumps(spec) + "]" * depth
+        nested = "[" * depth + json.dumps(cursor) + "]" * depth
         _refusal("conjecture1", json.dumps(payload).replace(json.dumps(_NEST), nested))
 
 
@@ -695,8 +732,8 @@ def test_checkpoint_with_its_keys_reordered_resumes_as_written(name):
 def test_checkpoint_without_a_units_violations_and_their_count_resumes(
     tmp_path, monkeypatch, sweep, stop_after, units
 ):
-    # README: a passed unit that the file names no violation for is trusted
-    # as clean, so its violations deleted with their count go unnoticed
+    # README: a passed unit that the file names no cursor for is trusted as
+    # clean, so its cursors deleted with their count go unnoticed
     setup, argv, _, _ = _GENUINE_CHECKPOINTS[sweep]
     setup(monkeypatch)
     argv = [*argv, "--format", "json"]
@@ -705,7 +742,7 @@ def test_checkpoint_without_a_units_violations_and_their_count_resumes(
     argv += ["--checkpoint", str(ckpt)]
     assert _run_quiet([*argv, "--stop-after", str(stop_after)])[0] == 3
     payload = json.loads(ckpt.read_text())
-    kept = [pair for pair in payload["violations"] if pair[0] not in units]
+    kept = [cursor for cursor in payload["violations"] if cursor not in units]
     deleted = len(payload["violations"]) - len(kept)
     payload["violations"] = kept
     payload["counts"]["violations"] -= deleted

@@ -5,6 +5,7 @@ import doctest
 import hashlib
 import json
 import multiprocessing
+import re
 
 import pytest
 from hypothesis import given
@@ -596,8 +597,9 @@ _PROPERTIES = {"nonnegative": False, "first_negative": [1, -1], "reciprocal": Tr
 
 _STANTON_VIOLATION = verify_fake_gaussian(FakeGaussianSpec(1, STANTON_SEQUENCE)).to_dict()
 
-#: (id, field, value): a restored violation's field that a checkpoint of
-#: the conjecture1 sweep cannot have written.
+#: (id, field, value): a field of a format-2 violation record that a
+#: conjecture1 checkpoint could not have written.  Format 3 stores each
+#: violation as its unit's cursor, so a record is refused whatever it holds.
 _BAD_VIOLATION_FIELDS = [
     ("verdict-ok", "verdict", "OK"),
     ("verdict-nonnegative", "verdict", "polynomial-nonnegative"),
@@ -626,8 +628,7 @@ _BAD_VIOLATION_FIELDS = [
         {"counts": {"examined": 0, "polynomial": 0, "violations": 0}, "violations": [[6, {}]]},
         {"counts": {"examined": "x", "polynomial": 0, "violations": 0}, "violations": []},
         {"counts": {"examined": 9, "polynomial": -1, "violations": 0}, "violations": []},
-        {"counts": {"examined": 9, "polynomial": 3, "violations": 0},
-         "violations": [[6, _VIOLATION]]},
+        {"counts": {"examined": 9, "polynomial": 3, "violations": 0}, "violations": [6]},
         {"cursor": -40, "counts": {"examined": 10**6, "polynomial": 0, "violations": 0},
          "violations": []},
         {"cursor": 21, "counts": {"examined": 9, "polynomial": 3, "violations": 0},
@@ -638,7 +639,7 @@ _BAD_VIOLATION_FIELDS = [
         {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
          "violations": [[6, {**_VIOLATION, "expansion": [1, "x"]}]]},
         {"cursor": 4, "counts": {"examined": 9, "polynomial": 3, "violations": 1},
-         "violations": [[6, _VIOLATION]]},
+         "violations": [6]},
         {"counts": {"examined": 9, "polynomial": 3, "violations": 1},
          "violations": [_VIOLATION]},
         {"cursor": 1, "counts": {"examined": 0, "polynomial": 0, "violations": 0},
@@ -704,35 +705,33 @@ _CONJECTURE1_ARGV = ["sweep", "conjecture1", "--n-max", "40", "--jobs", "1"]
 _FAKE_GAUSSIAN_ARGV = ["sweep", "fake-gaussian", "--template", "aa", "--seed", "1",
                        "--samples", "30", "--m-span", "30", "--jobs", "1"]
 
-#: name -> (patch or None, argv, stop_after, units): a genuine checkpoint,
+#: name -> (patch or None, argv, stop_after, cursors): a genuine checkpoint,
 #: the file that the sweep of argv writes after stop_after units under the
-#: patch, and the cursors of the units that recorded its violations.  The
-#: patches return the sweep of argv as a library call; unpatched, the
-#: conjecture1 checkpoint stops at cursor 11 and the fake-gaussian one is
-#: complete at cursor 30, both clean.
+#: patch, and the violations it stores, each as the cursor of the unit that
+#: recorded it.  The patches return the sweep of argv as a library call;
+#: unpatched, the conjecture1 checkpoint stops at cursor 11 and the
+#: fake-gaussian one is complete at cursor 30, both clean.
 _GENUINE_CHECKPOINTS = {
-    "conjecture1": (_conjecture1_wrong_at_34, _CONJECTURE1_ARGV, 34, {34}),
-    "conjecture1-clean": (None, _CONJECTURE1_ARGV, 10, set()),
-    "fake-gaussian": (_fake_gaussian_flaky_expand, _FAKE_GAUSSIAN_ARGV, 2, {5, 10}),
-    "fake-gaussian-complete": (None, _FAKE_GAUSSIAN_ARGV, 1, set()),
+    "conjecture1": (_conjecture1_wrong_at_34, _CONJECTURE1_ARGV, 34, [34] * 10),
+    "conjecture1-clean": (None, _CONJECTURE1_ARGV, 10, []),
+    "fake-gaussian": (_fake_gaussian_flaky_expand, _FAKE_GAUSSIAN_ARGV, 2, [5, 5, 10, 10]),
+    "fake-gaussian-complete": (None, _FAKE_GAUSSIAN_ARGV, 1, []),
 }
 
 #: the genuine checkpoints that hold violations
-_VIOLATING = [name for name, (*_, units) in _GENUINE_CHECKPOINTS.items() if units]
+_VIOLATING = [name for name, (*_, cursors) in _GENUINE_CHECKPOINTS.items() if cursors]
 
 
 @pytest.mark.parametrize("sweep", _VIOLATING)
 def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep):
-    setup, _, stop_after, units = _GENUINE_CHECKPOINTS[sweep]
+    setup, _, stop_after, cursors = _GENUINE_CHECKPOINTS[sweep]
     run = setup(monkeypatch)
     path = str(tmp_path / "ckpt")
     partial = run(checkpoint=path, stop_after=stop_after)
-    assert partial.violations
+    # each violation is stored as the cursor of the unit that recorded it
     with open(path, encoding="utf-8") as fh:
-        stored = json.load(fh)["violations"]
-    # each violation is stored with the cursor of the unit that recorded it
-    assert [v for _, v in stored] == [v.to_dict() for v in partial.violations]
-    assert {unit for unit, _ in stored} == units
+        assert json.load(fh)["violations"] == cursors
+    assert len(partial.violations) == len(cursors)
     resumed = run(checkpoint=path, resume=True)
     plain = run()
     assert canonical_json(resumed.to_dict(canonical=True)) == canonical_json(
@@ -740,42 +739,27 @@ def test_checkpoint_with_genuine_violations_resumes(tmp_path, monkeypatch, sweep
     )
 
 
-def _edit_violation(**fields):
-    return lambda payload: payload["violations"][0][1].update(fields)
-
-
-def _edit_property(**fields):
-    return lambda payload: payload["violations"][0][1]["properties"].update(fields)
+def _as_record_saying_ok(payload):
+    payload["violations"][0] = [payload["violations"][0], {"verdict": "OK"}]
 
 
 def _move_unit(payload):
-    payload["violations"][0][0] += 1
+    payload["violations"][0] += 1
 
 
-#: one field of a genuine checkpoint changed; several new values compare
-#: equal to the old ones (True == 1, -1 == -1.0), at cursor 0 the
-#: violations come from units the cursor has not passed, and a moved
-#: violation names a unit that did not record it
+#: one edit of a genuine checkpoint's violations: a format-2 pair stands
+#: where a cursor goes, at cursor 0 the cursors name units the cursor has
+#: not passed, and a moved cursor names a unit that did not record the
+#: violation
 _TAMPERS = {
-    "note-null": _edit_violation(note=None),
-    "is-polynomial-1": _edit_violation(is_polynomial=1),
-    "verdict-ok": _edit_violation(verdict="OK"),
-    "expansion-entry": _edit_violation(expansion=[1, -1, 1]),
-    "property-flag-1": _edit_property(reciprocal=1),
-    "first-negative-float": _edit_property(first_negative=[1, -1.0]),
+    "verdict-ok": _as_record_saying_ok,
     "cursor-0": lambda payload: payload.update(cursor=0),
     "unit-moved": _move_unit,
 }
 
-#: conjecture1's violations here come from refused expansions, with no
-#: property record to edit
-_PROPERTY_TAMPERS = ("property-flag-1", "first-negative-float")
-
 
 @pytest.mark.parametrize(
-    "sweep, tamper",
-    [(sweep, tamper) for sweep in _VIOLATING for tamper in _TAMPERS
-     if sweep == "fake-gaussian" or tamper not in _PROPERTY_TAMPERS],
+    "sweep, tamper", [(sweep, tamper) for sweep in _VIOLATING for tamper in _TAMPERS]
 )
 def test_checkpoint_with_a_tampered_genuine_violation_refused(
     tmp_path, monkeypatch, sweep, tamper
@@ -828,6 +812,20 @@ def test_resume_reruns_exactly_the_units_its_violations_name(tmp_path, monkeypat
     )
 
 
+def test_resume_reports_the_records_this_build_derives(tmp_path, monkeypatch):
+    # README: the file pins no record text, so a build that derives other
+    # records for the units its cursors name resumes and reports its own
+    run = _conjecture1_wrong_at_34(monkeypatch)
+    path = str(tmp_path / "c1.ckpt")
+    partial = run(checkpoint=path, stop_after=34)
+    verdict = qpositivity.harness._polynomial_verdict
+    monkeypatch.setattr(qpositivity.harness, "_polynomial_verdict",
+                        lambda *args, **kw: dataclasses.replace(verdict(*args, **kw), note="new"))
+    resumed = run(checkpoint=path, resume=True, stop_after=0)
+    assert resumed.counts == partial.counts
+    assert resumed.violations == [dataclasses.replace(v, note="new") for v in partial.violations]
+
+
 def test_resume_under_another_seed_is_refused_before_anything_runs(tmp_path, monkeypatch):
     path = str(tmp_path / "fg.ckpt")
     sweep_fake_gaussian("aba", 0, 1000, checkpoint=path, stop_after=2)
@@ -849,8 +847,9 @@ def test_sweep_checkpoint_io_error_propagates(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     units = _recorded(monkeypatch, "_conjecture1_unit")
-    with pytest.raises(OSError):
-        sweep_conjecture1(8, checkpoint=str(blocker / "ckpt"))
+    path = str(blocker / "ckpt")
+    with pytest.raises(OSError, match=f"cannot write checkpoint {re.escape(repr(path))}: "):
+        sweep_conjecture1(8, checkpoint=path)
     assert units == []
 
 
@@ -926,7 +925,7 @@ def test_sweep_fake_gaussian_template_validation():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"samples": -1}, {"value_max": -1}, {"m_span": -500}, {"m_span": 0}]
+    "bad", [{"samples": -1}, {"value_max": -1}, {"m_span": -500}, {"m_span": 0}, {"samples": 0}]
 )
 def test_sweep_fake_gaussian_parameter_validation(bad):
     kw = {"seed": 1, "samples": 10, **bad}
